@@ -9,9 +9,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table3 import run_table3
 
 
-def test_table3_complex_tasks(sparkb, benchmark):
+def test_table3_complex_tasks(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table3, args=(sparkb,), kwargs={"scale": bench_scale()},
+        run_table3, args=(spark,), kwargs={"scale": bench_scale()},
         rounds=1, iterations=1,
     )
     assert len(rows) == 4

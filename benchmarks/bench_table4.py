@@ -5,9 +5,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table4 import run_table4
 
 
-def test_table4_optimizer(sparkb, benchmark):
+def test_table4_optimizer(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table4, args=(sparkb,), kwargs={"scale": bench_scale()},
+        run_table4, args=(spark,), kwargs={"scale": bench_scale()},
         rounds=1, iterations=1,
     )
     assert [r["Seeker"] for r in rows] == ["Mixed", "SC", "MC", "C"]

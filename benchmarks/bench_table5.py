@@ -6,9 +6,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table5 import run_table5
 
 
-def test_table5_mc_precision(sparkb, benchmark):
+def test_table5_mc_precision(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table5, args=(sparkb,), kwargs={"scale": bench_scale("bench")},
+        run_table5, args=(spark,), kwargs={"scale": bench_scale("bench")},
         rounds=1, iterations=1,
     )
     for r in rows:

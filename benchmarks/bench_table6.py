@@ -4,9 +4,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table6 import run_table6
 
 
-def test_table6_union_quality(sparkb, benchmark):
+def test_table6_union_quality(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table6, args=(sparkb,), kwargs={"scale": bench_scale("bench")},
+        run_table6, args=(spark,), kwargs={"scale": bench_scale("bench")},
         rounds=1, iterations=1,
     )
     assert rows

@@ -5,9 +5,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table7 import run_table7
 
 
-def test_table7_correlation(sparkb, benchmark):
+def test_table7_correlation(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table7, args=(sparkb,), kwargs={"scale": bench_scale("bench")},
+        run_table7, args=(spark,), kwargs={"scale": bench_scale("bench")},
         rounds=1, iterations=1,
     )
     allr = [r for r in rows if r["Benchmark"].startswith("NYC (All)")][0]

@@ -5,9 +5,9 @@ from benchmarks.scales import bench_scale
 from repro.harness.table8 import run_table8
 
 
-def test_table8_index_size(sparkb, benchmark):
+def test_table8_index_size(spark, benchmark):
     rows = benchmark.pedantic(
-        run_table8, args=(sparkb,), kwargs={"scale": bench_scale("bench")},
+        run_table8, args=(spark,), kwargs={"scale": bench_scale("bench")},
         rounds=1, iterations=1,
     )
     assert len(rows) == 3

@@ -1,30 +1,5 @@
-"""Shared SparkSession bootstrap for the spark-submit job entrypoints.
+"""SparkSession bootstrap for the spark-submit job entrypoints: the shared
+:func:`repro.session.get_spark`, re-exported under the name the jobs import."""
+from repro.session import get_spark
 
-Mirrors the test fixture in ``conftest.py``: local master, Arrow enabled,
-broadcast joins disabled, modest shuffle parallelism (the index fits in
-memory; 8 partitions keep per-query latency low at laptop scale).
-"""
-from __future__ import annotations
-
-import os
-
-
-def get_spark(app: str):
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    spark = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("ERROR")
-    return spark
+__all__ = ["get_spark"]

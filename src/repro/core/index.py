@@ -13,6 +13,15 @@ unifies three structures:
 The index is materialized as a single Spark DataFrame, cached and
 registered as a temp view so every seeker is plain Spark SQL over it —
 the Spark/Catalyst engine plays the paper's in-DB optimizer role.
+
+Layout: the cached relation is hash-partitioned by ``TableId`` (one
+partition per core). Every seeker groups or joins on a key set that
+contains ``TableId`` — SC groups by (TableId, ColumnId), KW by TableId, MC
+and C join on (TableId, RowId) — so Catalyst finds each required
+distribution already met and plans no ``Exchange``: a seeker runs as one
+Spark job. The joins need ``spark.sql.requireAllClusterKeysForCoPartition``
+off, which :func:`repro.session.get_spark` sets; without it MC and C still
+shuffle and give the same answers.
 """
 from __future__ import annotations
 
@@ -46,45 +55,36 @@ def table_long_frame(
 ) -> pd.DataFrame:
     """Melt one lake table into AllTables rows (pandas, offline phase).
 
-    ``row_perm`` (optional) maps original row position -> RowId, used by
-    the shuffled index variant (BLEND (rand), Table VII).
+    Rows come out column-major (all of column 0, then column 1, ...) with
+    NULL cells left out. ``row_perm`` (optional) maps original row
+    position -> RowId, used by the shuffled index variant (BLEND (rand),
+    Table VII).
     """
-    n = len(df)
-    row_ids = row_perm if row_perm is not None else np.arange(n)
-    normed: list[list[str | None]] = []
-    quads: list[list[bool | None]] = []
-    for col in df.columns:
-        s = df[col]
-        vals = [norm_cell(v) for v in s.tolist()]
-        normed.append(vals)
+    n, m = df.shape
+    row_ids = np.arange(n) if row_perm is None else np.asarray(row_perm)
+    normed = np.empty((m, n), dtype=object)
+    quads = np.full((m, n), None, dtype=object)
+    for j in range(m):
+        s = df.iloc[:, j]
+        normed[j] = [norm_cell(v) for v in s.tolist()]
         if pd.api.types.is_numeric_dtype(s) and s.notna().any():
-            mean = float(s.astype(float).mean())
-            quads.append([bool(float(v) >= mean) if pd.notna(v) else None for v in s.tolist()])
-        else:
-            quads.append([None] * n)
-    skeys = [
-        super_key(normed[j][i] for j in range(len(df.columns))) for i in range(n)
-    ]
-    recs = {
-        "CellValue": [],
-        "TableId": [],
-        "ColumnId": [],
-        "RowId": [],
-        "SuperKey": [],
-        "Quadrant": [],
-    }
-    for j in range(len(df.columns)):
-        for i in range(n):
-            v = normed[j][i]
-            if v is None:
-                continue  # NULL cells match nothing; keep them out
-            recs["CellValue"].append(v)
-            recs["TableId"].append(tid)
-            recs["ColumnId"].append(j)
-            recs["RowId"].append(int(row_ids[i]))
-            recs["SuperKey"].append(skeys[i])
-            recs["Quadrant"].append(quads[j][i])
-    return pd.DataFrame(recs)
+            x = s.astype(float)
+            valid = s.notna().to_numpy()
+            # astype(object) turns numpy bools into Python bools
+            quads[j, valid] = (x.to_numpy()[valid] >= float(x.mean())).astype(object)
+    skeys = np.fromiter((super_key(row) for row in normed.T), dtype=np.int64, count=n)
+    cells = normed.ravel()
+    keep = pd.notna(cells)  # NULL cells match nothing; keep them out
+    return pd.DataFrame(
+        {
+            "CellValue": cells[keep],
+            "TableId": np.full(int(keep.sum()), tid, dtype=np.int64),
+            "ColumnId": np.repeat(np.arange(m, dtype=np.int64), n)[keep],
+            "RowId": np.tile(row_ids.astype(np.int64), m)[keep],
+            "SuperKey": np.tile(skeys, m)[keep],
+            "Quadrant": quads.ravel()[keep].tolist(),
+        }
+    )
 
 
 def build_alltables_pdf(lake: DataLake, *, shuffle_rows: bool = False, seed: int = 0) -> tuple[pd.DataFrame, dict[int, np.ndarray]]:
@@ -139,9 +139,13 @@ class BlendIndex:
         return self.lake.tables[tid].iloc[self.row_maps[tid][row_id]]
 
     def write_parquet(self, path: str) -> int:
-        """Serialize the unified index to Parquet; returns bytes on disk
-        (Table VIII storage measurement)."""
-        self.df.write.mode("overwrite").parquet(path)
+        """Serialize the unified index to Parquet; returns bytes on disk.
+
+        Rows are written sorted by (TableId, ColumnId, RowId): each file
+        then holds a few lake tables, so its dictionaries and run lengths
+        stay small (written in hash-partition order, every file's
+        dictionary would span every table)."""
+        self.df.orderBy("TableId", "ColumnId", "RowId").write.mode("overwrite").parquet(path)
         return dir_bytes(path)
 
 
@@ -160,14 +164,16 @@ def build_index(
     view: str = "AllTables",
     shuffle_rows: bool = False,
     seed: int = 0,
-    cache: bool = True,
 ) -> BlendIndex:
-    """Offline phase (paper Fig. 2e): build and register the unified index."""
+    """Offline phase (paper Fig. 2e): build and register the unified index,
+    hash-partitioned by ``TableId`` and cached (see the module docstring)."""
     t0 = time.perf_counter()
     pdf, row_maps = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
-    sdf = spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
-    if cache:
-        sdf = sdf.cache()
+    sdf = (
+        spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
+        .repartition(spark.sparkContext.defaultParallelism, "TableId")
+        .cache()
+    )
     sdf.createOrReplaceTempView(view)
     n = sdf.count()  # materialize the cache
     assert n == len(pdf)

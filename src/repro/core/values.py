@@ -22,6 +22,9 @@ def norm_cell(v) -> str | None:
     ``%.6g`` so the oracle and both engines agree. NaN/None map to ``None``
     (excluded from the index — a NULL cell matches nothing).
     """
+    if isinstance(v, str):  # the common case, checked first (numpy str_ too)
+        s = v.strip()
+        return s if s else None
     if v is None:
         return None
     if isinstance(v, float) and math.isnan(v):

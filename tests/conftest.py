@@ -1,10 +1,9 @@
 """Shared test fixtures: tiny lakes and their BLEND indexes.
 
 All fixtures are session-scoped: each index is built once (a Spark
-createDataFrame + cache) and shared by every test that reads it. Tests
-never mutate lakes or indexes. Shuffle parallelism is lowered to 8 —
-the cached indexes hold a few thousand rows, and 64-partition shuffles
-would dominate wall time without exercising anything extra.
+createDataFrame, a TableId repartition and a cache) and shared by every
+test that reads it. Tests never mutate lakes or indexes. The SparkSession
+is the root conftest's ``spark`` fixture.
 """
 from __future__ import annotations
 
@@ -16,14 +15,6 @@ from repro.lake import corr_lake, union_lake, webtable_lake
 
 
 @pytest.fixture(scope="session")
-def sparks(spark):
-    """The session SparkSession with test-friendly shuffle parallelism."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.sparkContext.setLogLevel("ERROR")
-    return spark
-
-
-@pytest.fixture(scope="session")
 def tiny_lake():
     return webtable_lake(
         n_groups=3, tables_per_group=3, entity_rows=60,
@@ -32,8 +23,8 @@ def tiny_lake():
 
 
 @pytest.fixture(scope="session")
-def tiny_index(sparks, tiny_lake):
-    return build_index(sparks, tiny_lake, view="TestTiny")
+def tiny_index(spark, tiny_lake):
+    return build_index(spark, tiny_lake, view="TestTiny")
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +36,8 @@ def u_lake():
 
 
 @pytest.fixture(scope="session")
-def u_index(sparks, u_lake):
-    return build_index(sparks, u_lake, view="TestUnion")
+def u_index(spark, u_lake):
+    return build_index(spark, u_lake, view="TestUnion")
 
 
 @pytest.fixture(scope="session")
@@ -58,13 +49,13 @@ def c_lake():
 
 
 @pytest.fixture(scope="session")
-def c_index(sparks, c_lake):
-    return build_index(sparks, c_lake, view="TestCorr")
+def c_index(spark, c_lake):
+    return build_index(spark, c_lake, view="TestCorr")
 
 
 @pytest.fixture(scope="session")
-def c_index_rand(sparks, c_lake):
-    return build_index(sparks, c_lake, view="TestCorrRand", shuffle_rows=True, seed=9)
+def c_index_rand(spark, c_lake):
+    return build_index(spark, c_lake, view="TestCorrRand", shuffle_rows=True, seed=9)
 
 
 @pytest.fixture()

@@ -18,8 +18,8 @@ from repro.harness.table8 import run_table8
 
 
 @pytest.fixture(scope="module")
-def t3_rows(sparks):
-    return run_table3(sparks, scale="test")
+def t3_rows(spark):
+    return run_table3(spark, scale="test")
 
 
 def test_table3_rows(t3_rows):
@@ -41,8 +41,8 @@ def test_table3_loc_shape(t3_rows):
         assert r["# Indexes (BLEND/Baseline)"] == "Single/Multi"
 
 
-def test_table4_rows(sparks):
-    rows = run_table4(sparks, scale="test")
+def test_table4_rows(spark):
+    rows = run_table4(spark, scale="test")
     assert [r["Seeker"] for r in rows] == ["Mixed", "SC", "MC", "C"]
     for r in rows:
         assert r["Ideal (s)"] <= r["Rand (s)"] + 1e-9
@@ -50,8 +50,8 @@ def test_table4_rows(sparks):
         assert r["Ideal Accuracy"] == "100%"
 
 
-def test_table5_rows(sparks):
-    rows = run_table5(sparks, scale="test")
+def test_table5_rows(spark):
+    rows = run_table5(spark, scale="test")
     assert len(rows) == 2
     for r in rows:
         b_p = float(r["BLEND Precision"].rstrip("%"))
@@ -60,8 +60,8 @@ def test_table5_rows(sparks):
         assert r["MATE avg obtained rows"] >= r["BLEND avg obtained rows"]
 
 
-def test_table6_rows(sparks):
-    rows = run_table6(sparks, scale="test")
+def test_table6_rows(spark):
+    rows = run_table6(spark, scale="test")
     assert rows
     for r in rows:
         for col in ["BLEND P@k", "STARMIE P@k", "BLEND MAP", "STARMIE MAP"]:
@@ -69,8 +69,8 @@ def test_table6_rows(sparks):
             assert 0.0 <= v <= 100.0
 
 
-def test_table7_rows(sparks):
-    rows = run_table7(sparks, scale="test")
+def test_table7_rows(spark):
+    rows = run_table7(spark, scale="test")
     assert [r["Benchmark"] for r in rows] == ["NYC (All)-like", "NYC (Cat.)-like"]
     allr, catr = rows
     k = [c for c in allr if c.startswith("BLEND P@")][0].split("@")[1]
@@ -83,8 +83,8 @@ def test_table7_rows(sparks):
     assert blend_all >= base_all
 
 
-def test_table8_rows(sparks, tmp_path):
-    rows = run_table8(sparks, scale="test", outdir=str(tmp_path))
+def test_table8_rows(spark, tmp_path):
+    rows = run_table8(spark, scale="test", outdir=str(tmp_path))
     assert len(rows) == 3
     for r in rows:
         # the Pr.3 storage claim: unified index < sum of stand-alone indexes

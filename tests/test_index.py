@@ -62,6 +62,109 @@ def test_long_frame_row_perm():
     assert by_val["x"] == 1 and by_val["y"] == 0
 
 
+def _melt_reference(tid, df, row_perm=None):
+    """Cell-by-cell melt: the loop ``table_long_frame`` replaced."""
+    n = len(df)
+    row_ids = row_perm if row_perm is not None else np.arange(n)
+    normed, quads = [], []
+    for j in range(df.shape[1]):
+        s = df.iloc[:, j]
+        normed.append([norm_cell(v) for v in s.tolist()])
+        if pd.api.types.is_numeric_dtype(s) and s.notna().any():
+            mean = float(s.astype(float).mean())
+            quads.append([bool(float(v) >= mean) if pd.notna(v) else None for v in s.tolist()])
+        else:
+            quads.append([None] * n)
+    skeys = [super_key(normed[j][i] for j in range(df.shape[1])) for i in range(n)]
+    recs = {c: [] for c in ["CellValue", "TableId", "ColumnId", "RowId", "SuperKey", "Quadrant"]}
+    for j in range(df.shape[1]):
+        for i in range(n):
+            if normed[j][i] is None:
+                continue
+            for c, v in zip(recs, (normed[j][i], tid, j, int(row_ids[i]), skeys[i], quads[j][i])):
+                recs[c].append(v)
+    return pd.DataFrame(recs)
+
+
+def _expected(rows):
+    """A long frame from (CellValue, TableId, ColumnId, RowId, SuperKey,
+    Quadrant) tuples, with the dtypes ``table_long_frame`` produces."""
+    cols = list(zip(*rows)) if rows else [[]] * 6
+    return pd.DataFrame({
+        "CellValue": np.array(cols[0], dtype=object),
+        "TableId": np.array(cols[1], dtype=np.int64),
+        "ColumnId": np.array(cols[2], dtype=np.int64),
+        "RowId": np.array(cols[3], dtype=np.int64),
+        "SuperKey": np.array(cols[4], dtype=np.int64),
+        "Quadrant": list(cols[5]),
+    })
+
+
+def _check_melt(got, rows):
+    pd.testing.assert_frame_equal(got, _expected(rows), check_exact=True)
+    assert [type(q) for q in got["Quadrant"]] == [type(r[5]) for r in rows]
+
+
+def test_long_frame_null_only_column():
+    df = pd.DataFrame({"a": ["x", "y"], "b": [None, None], "n": [np.nan, np.nan]})
+    sk = [super_key(["x"]), super_key(["y"])]
+    _check_melt(table_long_frame(3, df), [("x", 3, 0, 0, sk[0], None), ("y", 3, 0, 1, sk[1], None)])
+
+
+def test_long_frame_all_null_row():
+    df = pd.DataFrame({"a": ["x", None, "z"], "v": [2.0, np.nan, 4.0]})
+    sk0, sk2 = super_key(["x", "2"]), super_key(["z", "4"])
+    _check_melt(table_long_frame(0, df), [
+        ("x", 0, 0, 0, sk0, None), ("z", 0, 0, 2, sk2, None),
+        ("2", 0, 1, 0, sk0, False), ("4", 0, 1, 2, sk2, True),
+    ])
+
+
+def test_long_frame_empty_table():
+    for df in (pd.DataFrame({"a": [], "b": []}), pd.DataFrame(index=range(3))):
+        _check_melt(table_long_frame(1, df), [])
+
+
+def test_long_frame_shuffled_rowids():
+    df = pd.DataFrame({"a": ["p", "q", "r"], "b": [1, 2, None]}, dtype=object)
+    sk = [super_key(["p", "1"]), super_key(["q", "2"]), super_key(["r"])]
+    _check_melt(table_long_frame(0, df, row_perm=np.array([2, 0, 1])), [
+        ("p", 0, 0, 2, sk[0], None), ("q", 0, 0, 0, sk[1], None), ("r", 0, 0, 1, sk[2], None),
+        ("1", 0, 1, 2, sk[0], None), ("2", 0, 1, 0, sk[1], None),
+    ])
+
+
+def test_long_frame_bool_cells():
+    df = pd.DataFrame({"flag": [True, False, True]})
+    sk_t, sk_f = super_key(["true"]), super_key(["false"])
+    # bool is numeric to pandas: mean 2/3, so True -> upper quadrant
+    _check_melt(table_long_frame(0, df), [
+        ("true", 0, 0, 0, sk_t, True), ("false", 0, 0, 1, sk_f, False),
+        ("true", 0, 0, 2, sk_t, True),
+    ])
+
+
+def test_long_frame_numeric_nan_quadrant():
+    df = pd.DataFrame({"k": ["a", "b", "c", "d"], "v": [1.0, np.nan, 5.0, 3.5]})
+    sk = [super_key(["a", "1"]), super_key(["b"]), super_key(["c", "5"]), super_key(["d", "3.5"])]
+    # mean over the non-NULL cells = 3.1667; the NaN cell has no row, the
+    # string column no quadrant
+    _check_melt(table_long_frame(0, df), [
+        ("a", 0, 0, 0, sk[0], None), ("b", 0, 0, 1, sk[1], None),
+        ("c", 0, 0, 2, sk[2], None), ("d", 0, 0, 3, sk[3], None),
+        ("1", 0, 1, 0, sk[0], False), ("5", 0, 1, 2, sk[2], True), ("3.5", 0, 1, 3, sk[3], True),
+    ])
+
+
+def test_long_frame_matches_loop_reference(tiny_lake, c_lake):
+    g = np.random.default_rng(0)
+    for lake in (tiny_lake, c_lake):
+        for tid, df in lake.tables.items():
+            for perm in (None, g.permutation(len(df))):
+                got = table_long_frame(tid, df, row_perm=perm)
+                pd.testing.assert_frame_equal(got, _melt_reference(tid, df, perm), check_exact=True)
+
+
 def test_build_alltables_pdf_rowmaps_identity(mini_lake):
     pdf, maps = build_alltables_pdf(mini_lake)
     assert list(maps[0]) == [0, 1, 2]
@@ -78,14 +181,14 @@ def test_build_alltables_pdf_shuffle_roundtrip(mini_lake):
         assert norm_cell(df.iloc[orig, 0]) == rec["CellValue"]
 
 
-def test_build_index_counts(sparks, mini_lake):
-    idx = build_index(sparks, mini_lake, view="TestMini")
+def test_build_index_counts(spark, mini_lake):
+    idx = build_index(spark, mini_lake, view="TestMini")
     assert idx.df.count() == len(idx.pdf) == 10
 
 
-def test_build_index_registers_view(sparks, mini_lake):
-    build_index(sparks, mini_lake, view="TestMini2")
-    n = sparks.sql("SELECT COUNT(*) AS n FROM TestMini2").collect()[0].n
+def test_build_index_registers_view(spark, mini_lake):
+    build_index(spark, mini_lake, view="TestMini2")
+    n = spark.sql("SELECT COUNT(*) AS n FROM TestMini2").collect()[0].n
     assert n == 10
 
 
@@ -110,8 +213,8 @@ def test_original_row_identity(tiny_index):
     pd.testing.assert_series_equal(row, tiny_index.lake.tables[tid].iloc[0])
 
 
-def test_original_row_shuffled(sparks, mini_lake):
-    idx = build_index(sparks, mini_lake, view="TestMini3", shuffle_rows=True, seed=4)
+def test_original_row_shuffled(spark, mini_lake):
+    idx = build_index(spark, mini_lake, view="TestMini3", shuffle_rows=True, seed=4)
     sub = idx.pdf[(idx.pdf["TableId"] == 0) & (idx.pdf["ColumnId"] == 0)]
     for _, rec in sub.iterrows():
         assert norm_cell(idx.original_row(0, rec["RowId"])["name"]) == rec["CellValue"]
@@ -144,6 +247,18 @@ def test_write_parquet_bytes(tmp_path, tiny_index):
     assert os.path.isdir(tmp_path / "idx")
 
 
-def test_empty_lake_index(sparks):
-    idx = build_index(sparks, DataLake(), view="TestEmpty")
+def test_write_parquet_roundtrip(tmp_path, spark, tiny_index):
+    """The sorted Parquet holds exactly the index rows (as a multiset)."""
+    tiny_index.write_parquet(str(tmp_path / "idx"))
+    key = ["TableId", "ColumnId", "RowId"]
+    back = spark.read.parquet(str(tmp_path / "idx")).toPandas()
+    pd.testing.assert_frame_equal(
+        back.sort_values(key, ignore_index=True),
+        tiny_index.pdf.sort_values(key, ignore_index=True),
+        check_dtype=False,
+    )
+
+
+def test_empty_lake_index(spark):
+    idx = build_index(spark, DataLake(), view="TestEmpty")
     assert idx.df.count() == 0

@@ -55,7 +55,7 @@ def test_c_qcr_scores_in_unit_interval(c_lake, c_index):
     assert all(0.0 <= s <= 1.0 for s in res.scores.values())
 
 
-def test_c_qcr_matches_manual_computation(sparks):
+def test_c_qcr_matches_manual_computation(spark):
     """QCR computed by the SQL must equal the hand-computed statistic."""
     from repro.core import build_index
     from repro.lake import DataLake
@@ -65,14 +65,14 @@ def test_c_qcr_matches_manual_computation(sparks):
     y = [2 * t + 0.0 for t in target]  # perfectly correlated
     lake = DataLake()
     lake.add("cand", pd.DataFrame({"key": keys, "y": y}))
-    idx = build_index(sparks, lake, view="TestQcrManual")
+    idx = build_index(spark, lake, view="TestQcrManual")
     res = C(keys, target, k=5, h=1000).run(idx)
     assert res.tables == [0]
     # perfect correlation -> every pair in quadrant I or III -> QCR = 1
     assert res.scores[0] == pytest.approx(1.0)
 
 
-def test_c_anticorrelation_also_scores_high(sparks):
+def test_c_anticorrelation_also_scores_high(spark):
     from repro.core import build_index
     from repro.lake import DataLake
 
@@ -81,7 +81,7 @@ def test_c_anticorrelation_also_scores_high(sparks):
     y = [-3 * t for t in target]
     lake = DataLake()
     lake.add("anti", pd.DataFrame({"key": keys, "y": y}))
-    idx = build_index(sparks, lake, view="TestQcrAnti")
+    idx = build_index(spark, lake, view="TestQcrAnti")
     res = C(keys, target, k=5, h=1000).run(idx)
     # ABS(...) folds negative correlation into the same score (§VI i)
     assert res.scores[0] == pytest.approx(1.0)

@@ -87,7 +87,7 @@ def test_sc_sql_oracle(tiny_lake, tiny_index):
     assert_equivalent(spark_df, seeker.sql("idx"), idx=tiny_index.pdf)
 
 
-def test_sc_normalizes_numeric_queries(sparks, tiny_index, tiny_lake):
+def test_sc_normalizes_numeric_queries(spark, tiny_index, tiny_lake):
     # integer-valued floats in the query must match indexed ints
     for tid, df in tiny_lake.tables.items():
         numcols = [c for c in df.columns if df[c].dtype.kind in "if"]

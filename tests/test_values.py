@@ -27,6 +27,7 @@ from repro.core.values import norm_cell, norm_values, sql_in_list, sql_quote
         (float("nan"), None),
         (True, "true"),
         (False, "false"),
+        (np.str_(" np str "), "np str"),
     ],
 )
 def test_norm_cell(value, expected):

@@ -8,7 +8,9 @@ Two execution modes:
   and rewrites each subsequent seeker's SQL with the intermediate results
   of the previous one (``TableId IN/NOT IN (…)``). Counter combiners over
   SC/KW seekers are pushed down into a single in-DB
-  ``UNION ALL … GROUP BY TableId ORDER BY COUNT(*)`` query. Difference
+  ``UNION ALL … GROUP BY TableId ORDER BY COUNT(*)`` query, in which each
+  member contributes each table of its top-k once, as the app-level
+  Counter counts it. Difference
   always executes its subtrahend first and rewrites the minuend with
   ``NOT IN``. Union members run independently (no rewriting) — exactly
   the paper's rewrite table.
@@ -46,25 +48,16 @@ class PlanResult:
 
 
 def _run_seeker(
-    node: Node, index: BlendIndex, state: "_State", tid_filter=None, rewrite: str | None = None
+    node: Node, index: BlendIndex, res: PlanResult, tid_filter=None, rewrite: str | None = None
 ) -> list[int]:
-    res: SeekerResult = node.op.run(index, tid_filter)
-    state.outputs[node.name] = res.tables
-    state.seeker_seconds[node.name] = res.seconds
-    state.sqls.append(res.sql)
-    state.order.append(node.name)
+    out: SeekerResult = node.op.run(index, tid_filter)
+    res.outputs[node.name] = out.tables
+    res.seeker_seconds[node.name] = out.seconds
+    res.sqls.append(out.sql)
+    res.order.append(node.name)
     if rewrite:
-        state.rewrites[node.name] = rewrite
-    return res.tables
-
-
-@dataclass
-class _State:
-    outputs: dict[str, list[int]] = field(default_factory=dict)
-    seeker_seconds: dict[str, float] = field(default_factory=dict)
-    sqls: list[str] = field(default_factory=list)
-    order: list[str] = field(default_factory=list)
-    rewrites: dict[str, str] = field(default_factory=dict)
+        res.rewrites[node.name] = rewrite
+    return out.tables
 
 
 def execute_plan(
@@ -76,75 +69,61 @@ def execute_plan(
 ) -> PlanResult:
     """Execute ``plan`` against ``index``; see module docstring."""
     t0 = time.perf_counter()
-    state = _State()
+    res = PlanResult(outputs={}, result=[], seconds=0.0)
+    outputs = res.outputs
     consumers = plan.consumers()
     topo = plan.topological()
 
     if not optimize:
-        for node in plan.topological():
-            if node.is_seeker:
-                _run_seeker(node, index, state)
+        # B-NO: every seeker runs plain, in plan order. The loop below then
+        # finds every input computed and only applies the combiners.
         for node in topo:
-            if not node.is_seeker:
-                state.outputs[node.name] = node.op.apply(
-                    [state.outputs[i] for i in node.inputs]
-                )
-        return _finish(plan, state, t0)
+            if node.is_seeker:
+                _run_seeker(node, index, res)
 
     for node in topo:
-        if node.name in state.outputs:
+        if node.name in outputs:
             continue
         if node.is_seeker:
             # executed lazily by its consumer's EG when it has exactly one
             # consumer (rewriting opportunity); otherwise run it plain now
             if len(consumers[node.name]) == 1:
                 continue
-            _run_seeker(node, index, state)
+            _run_seeker(node, index, res)
             continue
 
         comb = node.op
-        # input nodes not yet computed and exclusively owned by this combiner
-        pending = [
-            plan.nodes[i]
-            for i in node.inputs
-            if i not in state.outputs
-        ]
-        # anything already computed (shared seekers ran above; upstream
-        # combiners appear earlier in topo order)
-        for p in list(pending):
-            if not p.is_seeker:
-                # nested combiner whose output is still missing can only
-                # happen if it is itself exclusively consumed here — but
-                # combiners are always computed at their own topo position,
-                # so this is unreachable; guard anyway.
-                pending.remove(p)
+        # inputs not yet computed: seekers exclusively owned by this
+        # combiner (shared seekers ran above; upstream combiners appear
+        # earlier in topo order)
+        pending = [plan.nodes[i] for i in node.inputs if i not in outputs]
 
         if isinstance(comb, Intersect):
             # --- Execution Group: rank seekers, chain IN-rewrites
-            computed = [i for i in node.inputs if i in state.outputs]
+            computed = [i for i in node.inputs if i in outputs]
             ir: list[int] | None = None
             for name in computed:
-                tabs = state.outputs[name]
+                tabs = outputs[name]
                 ir = tabs if ir is None else [t for t in ir if t in set(tabs)]
             ranked = rank_seekers([(p.name, p.op) for p in pending], index, cost_model)
             for name, _ in ranked:
                 node_p = plan.nodes[name]
                 filt = ("IN", ir) if ir is not None else None
                 tabs = _run_seeker(
-                    node_p, index, state, filt, rewrite="IN" if ir is not None else None
+                    node_p, index, res, filt, rewrite="IN" if ir is not None else None
                 )
                 ir = tabs if ir is None else [t for t in tabs if t in set(ir)]
         elif isinstance(comb, Difference):
             a_name, b_name = node.inputs
             # subtrahend first (its tables become the NOT IN filter)
-            if b_name not in state.outputs:
-                _run_seeker(plan.nodes[b_name], index, state)
-            if a_name not in state.outputs:
+            if b_name not in outputs:
+                _run_seeker(plan.nodes[b_name], index, res)
+            if a_name not in outputs:
                 _run_seeker(
                     plan.nodes[a_name],
                     index,
-                    state,
-                    ("NOT IN", state.outputs[b_name]),
+                    res,
+                    ("NOT IN", outputs[b_name]),
                     rewrite="NOT IN",
                 )
         elif isinstance(comb, Counter):
@@ -163,33 +142,22 @@ def execute_plan(
                 )
                 ts = time.perf_counter()
                 rows = index.spark.sql(sql).collect()
-                state.sqls.append(sql)
-                state.rewrites[node.name] = "COUNT-pushdown"
-                state.seeker_seconds[node.name] = time.perf_counter() - ts
-                state.outputs[node.name] = [r.TableId for r in rows]
-                # members were folded into the push-down; mark them executed
-                for p in pending:
-                    state.outputs.setdefault(p.name, [])
-                    state.order.append(p.name)
+                res.sqls.append(sql)
+                res.rewrites[node.name] = "COUNT-pushdown"
+                res.seeker_seconds[node.name] = time.perf_counter() - ts
+                outputs[node.name] = [r.TableId for r in rows]
+                # the members ran inside the push-down; the Counter is
+                # their only consumer, so they get no outputs of their own
+                res.order.extend(p.name for p in pending)
                 continue
             for p in pending:
-                _run_seeker(p, index, state)
+                _run_seeker(p, index, res)
         else:  # Union — no rewriting (paper's rewrite table)
             for p in pending:
-                _run_seeker(p, index, state)
+                _run_seeker(p, index, res)
 
-        state.outputs[node.name] = comb.apply([state.outputs[i] for i in node.inputs])
+        outputs[node.name] = comb.apply([outputs[i] for i in node.inputs])
 
-    return _finish(plan, state, t0)
-
-
-def _finish(plan: Plan, state: _State, t0: float) -> PlanResult:
-    return PlanResult(
-        outputs=state.outputs,
-        result=state.outputs[plan.result_node],
-        seconds=time.perf_counter() - t0,
-        seeker_seconds=state.seeker_seconds,
-        sqls=state.sqls,
-        order=state.order,
-        rewrites=state.rewrites,
-    )
+    res.result = outputs[plan.result_node]
+    res.seconds = time.perf_counter() - t0
+    return res

@@ -13,6 +13,9 @@ unifies three structures:
 The index is materialized as a single Spark DataFrame, cached and
 registered as a temp view so every seeker is plain Spark SQL over it —
 the Spark/Catalyst engine plays the paper's in-DB optimizer role.
+Query time needs nothing else: no seeker reads the raw lake tables (MC
+validates candidate rows from the values its own SQL returns), so a
+shuffled index keeps no map from RowId back to the lake row.
 
 Layout: the cached relation is hash-partitioned by ``TableId`` (one
 partition per core). Every seeker groups or joins on a key set that
@@ -87,30 +90,17 @@ def table_long_frame(
     )
 
 
-def build_alltables_pdf(lake: DataLake, *, shuffle_rows: bool = False, seed: int = 0) -> tuple[pd.DataFrame, dict[int, np.ndarray]]:
-    """Build the full AllTables relation in pandas.
-
-    Returns (long frame, row map) where ``row_map[tid][RowId]`` is the
-    original pandas row position — needed to validate candidate rows
-    against the raw lake tables when RowIds are shuffled.
-    """
+def build_alltables_pdf(lake: DataLake, *, shuffle_rows: bool = False, seed: int = 0) -> pd.DataFrame:
+    """Build the full AllTables relation in pandas. With ``shuffle_rows``
+    each table's RowIds are a random permutation of its row positions."""
     g = np.random.default_rng(seed)
-    parts, row_maps = [], {}
-    for tid, df in lake.tables.items():
-        n = len(df)
-        if shuffle_rows:
-            perm = g.permutation(n)  # original position i -> RowId perm[i]
-            inv = np.empty(n, dtype=int)
-            inv[perm] = np.arange(n)
-            row_maps[tid] = inv
-            parts.append(table_long_frame(tid, df, row_perm=perm))
-        else:
-            row_maps[tid] = np.arange(n)
-            parts.append(table_long_frame(tid, df))
-    pdf = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
+    parts = [
+        table_long_frame(tid, df, row_perm=g.permutation(len(df)) if shuffle_rows else None)
+        for tid, df in lake.tables.items()
+    ]
+    return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
         columns=[f.name for f in INDEX_SCHEMA.fields]
     )
-    return pdf, row_maps
 
 
 @dataclass
@@ -121,9 +111,8 @@ class BlendIndex:
     spark: SparkSession
     df: DataFrame
     view: str
-    lake: DataLake
-    pdf: pd.DataFrame  # pandas copy — powers the DuckDB oracle + stats
-    row_maps: dict[int, np.ndarray]
+    lake: DataLake  # the source tables: samplers, baselines, the benchmark's checks
+    pdf: pd.DataFrame  # pandas copy — powers the DuckDB oracle, storage and stats
     build_seconds: float
     value_freq: pd.Series = field(repr=False, default=None)
 
@@ -133,10 +122,6 @@ class BlendIndex:
         if not values:
             return 0.0
         return float(np.mean([self.value_freq.get(v, 0) for v in values]))
-
-    def original_row(self, tid: int, row_id: int) -> pd.Series:
-        """The raw lake row behind an index RowId (handles shuffling)."""
-        return self.lake.tables[tid].iloc[self.row_maps[tid][row_id]]
 
     def write_parquet(self, path: str) -> int:
         """Serialize the unified index to Parquet; returns bytes on disk.
@@ -168,7 +153,7 @@ def build_index(
     """Offline phase (paper Fig. 2e): build and register the unified index,
     hash-partitioned by ``TableId`` and cached (see the module docstring)."""
     t0 = time.perf_counter()
-    pdf, row_maps = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
+    pdf = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
     sdf = (
         spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
         .repartition(spark.sparkContext.defaultParallelism, "TableId")
@@ -184,7 +169,6 @@ def build_index(
         view=view,
         lake=lake,
         pdf=pdf,
-        row_maps=row_maps,
         build_seconds=time.perf_counter() - t0,
         value_freq=freq,
     )

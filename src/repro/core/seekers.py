@@ -1,9 +1,16 @@
 """Seeker operators (paper §IV-A, §VI): SQL over the unified index.
 
-Each seeker compiles to a Spark SQL statement over the ``AllTables`` view,
-mirroring Listings 1–3 of the paper, with a rewrite hook (``tid_filter``)
-where the optimizer injects combiner-dependent predicates
-(``TableId IN (...)`` / ``NOT IN (...)``, §VII-B "Query rewriting").
+A seeker is one Spark SQL statement over the ``AllTables`` view, mirroring
+Listings 1–3 of the paper, plus a pure ranking of the rows that statement
+returns. :meth:`Seeker.run` is the one execution path: it builds the SQL,
+collects its rows and hands them to the type's ``_rank``. The SQL has a
+rewrite hook (``tid_filter``) where the optimizer injects
+combiner-dependent predicates (``TableId IN (...)`` / ``NOT IN (...)``,
+§VII-B "Query rewriting").
+
+MC's exact validation needs no raw lake rows: its SQL projects the matched
+value of every query column, so the candidate rows come back with the
+value combinations they hold.
 
 Seekers return ranked table lists. Ordering is made deterministic with
 (score DESC, TableId ASC) tie-breaks so the optimizer's Theorem-1 property
@@ -19,7 +26,7 @@ import pandas as pd
 
 from .index import BlendIndex
 from .values import norm_cell, norm_values, sql_in_list
-from .xash import covers, super_key
+from .xash import super_key
 
 TidFilter = tuple[str, list[int]] | None  # ("IN" | "NOT IN", table ids)
 
@@ -61,7 +68,10 @@ def _dedupe_topk(rows: list[tuple[int, float]], k: int) -> tuple[list[int], dict
 
 
 class Seeker:
-    """Base class: common cost-model features + execution wrapper."""
+    """Base class: cost-model features and the one execution path.
+
+    A subclass supplies ``sql``, ``_rank`` and its features;
+    ``avg_frequency`` reads ``q``, the normalized query values."""
 
     type_name: str = "?"
     k: int = 10
@@ -74,23 +84,43 @@ class Seeker:
         raise NotImplementedError
 
     def avg_frequency(self, index: BlendIndex) -> float:
-        raise NotImplementedError
+        return index.avg_frequency(self.q)
 
-    # --- SQL generation
+    # --- SQL generation and ranking of its result rows
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
         raise NotImplementedError
 
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str | None:
-        """SQL emitting one ``TableId`` row per hit (for the Counter
-        combiner's in-DB push-down). None when push-down is unsupported."""
-        return None
+    def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
+        """(ranked tables, scores, diagnostics) from the SQL's result rows."""
+        raise NotImplementedError
 
     def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        raise NotImplementedError
+        t0 = time.perf_counter()
+        sql = self.sql(index.view, tid_filter)
+        tables, scores, diagnostics = self._rank(index.spark.sql(sql).collect())
+        return SeekerResult(tables, scores, sql, time.perf_counter() - t0, diagnostics)
+
+
+class _Overlap(Seeker):
+    """SC and KW: tables ranked by how many query values they contain."""
+
+    def input_cardinality(self) -> int:
+        return len(self.q)
+
+    def n_columns(self) -> int:
+        return 1
+
+    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
+        """SQL emitting each table of the top-k once (for the Counter
+        combiner's in-DB push-down)."""
+        return f"SELECT DISTINCT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
+
+    def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
+        return (*_dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k), {})
 
 
 @dataclass
-class SC(Seeker):
+class SC(_Overlap):
     """Single-column join seeker — paper Listing 1.
 
     Finds tables with a column overlapping the query column the most
@@ -103,15 +133,6 @@ class SC(Seeker):
     def __post_init__(self):
         self.q = norm_values(self.values)
 
-    def input_cardinality(self) -> int:
-        return len(self.q)
-
-    def n_columns(self) -> int:
-        return 1
-
-    def avg_frequency(self, index: BlendIndex) -> float:
-        return index.avg_frequency(self.q)
-
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
         return (
             "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS overlap\n"
@@ -122,19 +143,9 @@ class SC(Seeker):
             f"LIMIT {self.k}"
         )
 
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        return f"SELECT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
-
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
-        tables, scores = _dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
-
 
 @dataclass
-class KW(Seeker):
+class KW(_Overlap):
     """Keyword seeker — SC without ColumnId in the GROUP BY (§VI):
     overlap is counted over whole tables, not single columns."""
 
@@ -144,15 +155,6 @@ class KW(Seeker):
 
     def __post_init__(self):
         self.q = norm_values(self.keywords)
-
-    def input_cardinality(self) -> int:
-        return len(self.q)
-
-    def n_columns(self) -> int:
-        return 1
-
-    def avg_frequency(self, index: BlendIndex) -> float:
-        return index.avg_frequency(self.q)
 
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
         return (
@@ -164,27 +166,20 @@ class KW(Seeker):
             f"LIMIT {self.k}"
         )
 
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        return f"SELECT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
-
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
-        tables, scores = _dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
-
 
 @dataclass
 class MC(Seeker):
-    """Multi-column join seeker — paper Listing 2 + app-level validation.
+    """Multi-column join seeker — paper Listing 2 + validation.
 
-    Phase 1 (SQL): one subquery per query column, joined on
-    (TableId, RowId) — candidate rows containing *some* value from every
-    query column. Phase 2 (application level, as in MATE/the paper): the
-    super key prunes rows whose value combination cannot match any query
-    tuple, then exact row validation confirms containment of a full query
-    tuple. Diagnostics expose the TP/FP counts behind Table V.
+    SQL: one subquery per query column, joined on (TableId, RowId) —
+    candidate rows containing *some* value from every query column. Each
+    subquery keeps the value it matched, projected as ``V1…Vn``, so the
+    join emits one row per value combination a candidate row holds.
+    Ranking (as in MATE/the paper): the super key prunes rows whose value
+    combination cannot match any query tuple, then exact validation keeps
+    a row when one of its combinations *is* a query tuple — the row then
+    contains that tuple. Diagnostics count distinct candidate rows and
+    expose the TP/FP counts behind Table V.
     """
 
     query: pd.DataFrame  # columns = composite key columns
@@ -195,13 +190,14 @@ class MC(Seeker):
         self.col_values: list[list[str]] = [
             norm_values(self.query[c]) for c in self.query.columns
         ]
-        # one normalized tuple per query row (drop rows with NULL cells)
-        self.row_tuples: list[frozenset[str]] = []
-        for _, row in self.query.iterrows():
-            t = [norm_cell(v) for v in row.tolist()]
+        # normalized query tuple -> the query rows holding it (rows with
+        # a NULL cell are dropped)
+        self.tuple_rows: dict[frozenset[str], list[int]] = {}
+        for i, row in enumerate(self.query.itertuples(index=False)):
+            t = [norm_cell(v) for v in row]
             if all(v is not None for v in t):
-                self.row_tuples.append(frozenset(t))
-        self.row_superkeys = [super_key(t) for t in self.row_tuples]
+                self.tuple_rows.setdefault(frozenset(t), []).append(i)
+        self.row_superkeys = [super_key(t) for t in self.tuple_rows]
 
     def input_cardinality(self) -> int:
         return len(self.query)
@@ -221,7 +217,7 @@ class MC(Seeker):
         subs = []
         for j, vals in enumerate(self.col_values):
             filt = _tid_predicate(tid_filter) if j == 0 else ""  # Example 2: filter Q1
-            cols = "TableId, RowId, SuperKey" if j == 0 else "TableId, RowId"
+            cols = "TableId, RowId, SuperKey, CellValue" if j == 0 else "TableId, RowId, CellValue"
             subs.append(
                 f"(SELECT DISTINCT {cols} FROM {view}\n"
                 f"  WHERE CellValue IN ({sql_in_list(vals)}) {filt}) Q{j + 1}"
@@ -232,35 +228,34 @@ class MC(Seeker):
                 f"\nJOIN {subs[j]}"
                 f"\n  ON Q1.TableId = Q{j + 1}.TableId AND Q1.RowId = Q{j + 1}.RowId"
             )
+        values = ", ".join(f"Q{j + 1}.CellValue AS V{j + 1}" for j in range(len(subs)))
         return (
-            "SELECT Q1.TableId AS TableId, Q1.RowId AS RowId, Q1.SuperKey AS SuperKey\n"
+            "SELECT Q1.TableId AS TableId, Q1.RowId AS RowId, Q1.SuperKey AS SuperKey,\n"
+            f"       {values}\n"
             f"FROM {joins}"
         )
 
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        cand = index.spark.sql(sql).toPandas()
-        n_sql = len(cand)
-        # --- super-key Bloom filtering (application level)
+    def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
+        # (TableId, RowId) -> (SuperKey, value combinations of that row)
+        cand: dict[tuple[int, int], tuple[int, set]] = {}
+        for tid, row_id, sk, *vals in rows:
+            cand.setdefault((tid, row_id), (sk, set()))[1].add(frozenset(vals))
+        keys = list(cand)
+        n_sql = len(keys)
+        # --- super-key Bloom filtering, once per candidate row
         if n_sql and self.row_superkeys:
-            sk = cand["SuperKey"].to_numpy(dtype=np.int64)
+            sk = np.array([cand[c][0] for c in keys], dtype=np.int64)
             keep = np.zeros(n_sql, dtype=bool)
             for rk in self.row_superkeys:
                 keep |= (sk & rk) == rk
-            cand = cand[keep]
-        n_bloom = len(cand)
-        # --- exact row validation against the raw lake tables
+            keys = [c for c, kp in zip(keys, keep) if kp]
+        # --- exact validation: a row holds a query tuple iff the join
+        # emitted the combination taking that tuple's value from every Qj
         tp_rows = 0
         matched: dict[int, set[int]] = {}  # tid -> matched query-row indices
         row_counts: dict[int, int] = {}
-        for tid, row_id in zip(cand["TableId"].tolist(), cand["RowId"].tolist()):
-            cells = {
-                c
-                for c in (norm_cell(v) for v in index.original_row(tid, row_id).tolist())
-                if c is not None
-            }
-            hit = [i for i, t in enumerate(self.row_tuples) if t <= cells]
+        for tid, row_id in keys:
+            hit = [i for t in cand[(tid, row_id)][1] for i in self.tuple_rows.get(t, ())]
             if hit:
                 tp_rows += 1
                 matched.setdefault(tid, set()).update(hit)
@@ -269,18 +264,13 @@ class MC(Seeker):
             matched, key=lambda t: (-len(matched[t]), -row_counts[t], t)
         )[: self.k]
         scores = {t: float(len(matched[t])) for t in ranked}
-        return SeekerResult(
-            ranked,
-            scores,
-            sql,
-            time.perf_counter() - t0,
-            diagnostics={
-                "sql_rows": n_sql,
-                "bloom_rows": n_bloom,
-                "tp_rows": tp_rows,
-                "fp_rows": n_bloom - tp_rows,
-            },
-        )
+        diagnostics = {
+            "sql_rows": n_sql,
+            "bloom_rows": len(keys),
+            "tp_rows": tp_rows,
+            "fp_rows": len(keys) - tp_rows,
+        }
+        return ranked, scores, diagnostics
 
 
 @dataclass
@@ -331,9 +321,6 @@ class C(Seeker):
     def n_columns(self) -> int:
         return 2
 
-    def avg_frequency(self, index: BlendIndex) -> float:
-        return index.avg_frequency(self.q)
-
     def sql(self, view: str, tid_filter: TidFilter = None) -> str:
         k0l, k1l = sql_in_list(self.k0), sql_in_list(self.k1)
         return (
@@ -355,13 +342,9 @@ class C(Seeker):
             f"LIMIT {self.k}"
         )
 
-    def run(self, index: BlendIndex, tid_filter: TidFilter = None) -> SeekerResult:
-        t0 = time.perf_counter()
-        sql = self.sql(index.view, tid_filter)
-        rows = index.spark.sql(sql).collect()
+    def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
         hits = [(r.TableId, r.qcr) for r in rows if r.qcr >= self.min_qcr]
-        tables, scores = _dedupe_topk(hits, self.k)
-        return SeekerResult(tables, scores, sql, time.perf_counter() - t0)
+        return (*_dedupe_topk(hits, self.k), {})
 
 
 #: rule-based ranking order (§VII-B Rules 1–3): KW first, MC last, SC over C

@@ -18,7 +18,7 @@ from ..core import build_index, execute_plan
 from ..evalx.metrics import average_precision_at_k, precision_at_k, recall_at_k
 from ..lake import union_lake
 from ..tasks import build_union_plan
-from .common import mean
+from .common import mean, pct
 
 SCALES = {
     "test": dict(ks=(3, 5), lakes={
@@ -57,16 +57,12 @@ def run_table6(spark, scale: str = "bench", seed: int = 400) -> list[dict]:
                 {
                     "Lake": label,
                     "k": k,
-                    "BLEND P@k": _pct(mean(precision_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
-                    "BLEND Recall": _pct(mean(recall_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
-                    "BLEND MAP": _pct(mean(average_precision_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
-                    "STARMIE P@k": _pct(mean(precision_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
-                    "STARMIE Recall": _pct(mean(recall_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
-                    "STARMIE MAP": _pct(mean(average_precision_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
+                    "BLEND P@k": pct(mean(precision_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
+                    "BLEND Recall": pct(mean(recall_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
+                    "BLEND MAP": pct(mean(average_precision_at_k(r, g, k) for r, g in zip(blend_ranked, gts))),
+                    "STARMIE P@k": pct(mean(precision_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
+                    "STARMIE Recall": pct(mean(recall_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
+                    "STARMIE MAP": pct(mean(average_precision_at_k(r, g, k) for r, g in zip(star_ranked, gts))),
                 }
             )
     return rows
-
-
-def _pct(x: float) -> str:
-    return f"{100 * x:.1f}%"

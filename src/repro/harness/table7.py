@@ -14,7 +14,7 @@ from ..core.seekers import C
 from ..lake import corr_lake, exact_topk
 from ..lake.base import DataLake
 from ..evalx.metrics import precision_at_k, recall_at_k
-from .common import mean
+from .common import mean, pct
 
 # bench: candidates_per_query (20) is well above k (10) so precision
 # reflects ranking quality, not mere candidate retrieval; reps_per_key=20
@@ -64,15 +64,11 @@ def run_table7(spark, scale: str = "bench", seed: int = 500) -> list[dict]:
         sel = [(s, gt) for kind, s, gt in per_q if kind in kinds]
         row = {"Benchmark": bench, "queries": len(sel)}
         for sysname in ["BLEND", "BLEND (rand)", "Baseline"]:
-            row[f"{sysname} P@{k}"] = _pct(
+            row[f"{sysname} P@{k}"] = pct(
                 mean(precision_at_k(s[sysname], gt, k) for s, gt in sel)
             )
-            row[f"{sysname} R@{k}"] = _pct(
+            row[f"{sysname} R@{k}"] = pct(
                 mean(recall_at_k(s[sysname], gt, k) for s, gt in sel)
             )
         rows.append(row)
     return rows
-
-
-def _pct(x: float) -> str:
-    return f"{100 * x:.1f}%"

@@ -64,6 +64,14 @@ def test_samplers_produce_valid_seekers(tiny_index, rng, sampler, cls):
     assert s.n_columns() >= 1
 
 
+def test_samplers_draw_light_and_heavy_queries(tiny_index):
+    """Training and Table IV share these samplers; ranking only matters
+    when they draw both light and heavy queries."""
+    g = np.random.default_rng(0)
+    sizes = [len(sample_sc_query(tiny_index, g).values) for _ in range(20)]
+    assert min(sizes) < 15 and max(sizes) >= 200
+
+
 def test_train_cost_model_runs(tiny_index):
     cm = train_cost_model(tiny_index, n_per_type=2, seed=1, types=("SC", "KW"))
     assert set(cm.coef) == {"SC", "KW"}

@@ -7,9 +7,9 @@ assumption)."""
 import pandas as pd
 import pytest
 
-from repro.core import execute_plan
+from repro.core import build_index, execute_plan
 from repro.core.plan import Combiners, Plan, Seekers
-from repro.lake import sample_mc_query
+from repro.lake import DataLake, sample_mc_query
 
 BIG_K = 1000
 
@@ -78,6 +78,29 @@ def test_counter_pushdown_theorem1(tiny_lake, tiny_index):
     noopt = execute_plan(plan, tiny_index, optimize=False)
     assert opt.rewrites.get("cnt") == "COUNT-pushdown"
     assert opt.result == noopt.result
+
+
+def test_counter_pushdown_counts_each_table_once_per_seeker(spark):
+    """Table 0 holds the first query column's values in two of its columns.
+    The push-down must count it once for that seeker, as the app-level
+    Counter does, not once per matching column."""
+    lake = DataLake()
+    lake.add("two_cols", pd.DataFrame({"a": ["x", "y", "z"], "b": ["x", "y", "w"]}))
+    lake.add("one", pd.DataFrame({"a": ["x", "q", "r"]}))
+    lake.add("two", pd.DataFrame({"c": ["z", "y", "k"]}))
+    index = build_index(spark, lake, view="TestCounterTwoCols")
+    plan = Plan()
+    plan.add("s0", Seekers.SC(["x", "y", "z"], k=10))
+    plan.add("s1", Seekers.SC(["k", "r"], k=10))
+    plan.add("cnt", Combiners.Counter(k=10), ["s0", "s1"])
+    opt = execute_plan(plan, index, optimize=True)
+    noopt = execute_plan(plan, index, optimize=False)
+    assert opt.rewrites.get("cnt") == "COUNT-pushdown"
+    assert noopt.result == [1, 2, 0]
+    assert opt.result == noopt.result
+    # the members ran inside the push-down and have no outputs of their own
+    assert set(opt.outputs) == {"cnt"}
+    assert opt.order == ["s0", "s1"]
 
 
 def test_union_no_rewriting(tiny_lake, tiny_index):

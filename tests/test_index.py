@@ -165,20 +165,25 @@ def test_long_frame_matches_loop_reference(tiny_lake, c_lake):
                 pd.testing.assert_frame_equal(got, _melt_reference(tid, df, perm), check_exact=True)
 
 
-def test_build_alltables_pdf_rowmaps_identity(mini_lake):
-    pdf, maps = build_alltables_pdf(mini_lake)
-    assert list(maps[0]) == [0, 1, 2]
-    assert list(maps[1]) == [0, 1]
-
-
-def test_build_alltables_pdf_shuffle_roundtrip(mini_lake):
-    pdf, maps = build_alltables_pdf(mini_lake, shuffle_rows=True, seed=1)
-    # row_maps invert the permutation: index RowId r -> original position
-    df = mini_lake.tables[0]
-    sub = pdf[(pdf["TableId"] == 0) & (pdf["ColumnId"] == 0)]
-    for _, rec in sub.iterrows():
-        orig = maps[0][rec["RowId"]]
-        assert norm_cell(df.iloc[orig, 0]) == rec["CellValue"]
+def test_build_alltables_pdf_shuffle_roundtrip(mini_lake, tiny_lake):
+    """Shuffling permutes RowIds only: each (TableId, RowId) holds exactly
+    the cells of one lake row, and every lake row has one RowId."""
+    moved = []
+    for lake in (mini_lake, tiny_lake):
+        pdf = build_alltables_pdf(lake, shuffle_rows=True, seed=1)
+        moved.append(not pdf["RowId"].equals(build_alltables_pdf(lake)["RowId"]))
+        for tid, df in lake.tables.items():
+            rows = sorted(
+                sorted((j, c) for j, c in enumerate(map(norm_cell, row)) if c is not None)
+                for row in df.itertuples(index=False)
+            )
+            sub = pdf[pdf["TableId"] == tid]
+            got = sorted(
+                sorted(zip(g["ColumnId"], g["CellValue"])) for _, g in sub.groupby("RowId")
+            )
+            assert got == [r for r in rows if r]
+            assert set(sub["RowId"]) <= set(range(len(df)))
+    assert any(moved)
 
 
 def test_build_index_counts(spark, mini_lake):
@@ -205,19 +210,6 @@ def test_avg_frequency(tiny_index):
     assert tiny_index.avg_frequency([v]) == float(tiny_index.value_freq[v])
     assert tiny_index.avg_frequency([]) == 0.0
     assert tiny_index.avg_frequency(["@@absent@@"]) == 0.0
-
-
-def test_original_row_identity(tiny_index):
-    tid = next(iter(tiny_index.lake.tables))
-    row = tiny_index.original_row(tid, 0)
-    pd.testing.assert_series_equal(row, tiny_index.lake.tables[tid].iloc[0])
-
-
-def test_original_row_shuffled(spark, mini_lake):
-    idx = build_index(spark, mini_lake, view="TestMini3", shuffle_rows=True, seed=4)
-    sub = idx.pdf[(idx.pdf["TableId"] == 0) & (idx.pdf["ColumnId"] == 0)]
-    for _, rec in sub.iterrows():
-        assert norm_cell(idx.original_row(0, rec["RowId"])["name"]) == rec["CellValue"]
 
 
 def test_quadrant_nullable_boolean_in_spark(tiny_index):

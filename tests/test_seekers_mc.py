@@ -1,8 +1,11 @@
-"""Tests for the MC seeker (paper Listing 2 + app-level validation)."""
+"""Tests for the MC seeker (paper Listing 2 + validation)."""
 import pandas as pd
 import pytest
 
+from repro.core import build_index
 from repro.core.seekers import MC
+from repro.core.values import norm_cell
+from repro.core.xash import super_key
 from repro.lake import sample_mc_query
 from repro.oracle import assert_equivalent
 
@@ -11,6 +14,92 @@ from repro.oracle import assert_equivalent
 def mc_query(tiny_lake):
     q, src = sample_mc_query(tiny_lake, gid=0, n_rows=6, seed=20)
     return q, src
+
+
+@pytest.fixture(scope="module")
+def tiny_index_shuffled(spark, tiny_lake):
+    return build_index(spark, tiny_lake, view="TestTinyShuffled", shuffle_rows=True, seed=5)
+
+
+def _mc_reference(lake, query: pd.DataFrame, k: int, tids=None):
+    """MC straight from the raw lake rows: a row is a candidate when it
+    holds a value of every query column, survives the super-key check when
+    its key covers some query tuple's key, and is a TP when its cells
+    contain a whole query tuple (query rows with a NULL cell are no
+    tuples). Returns (tables, scores, diagnostics) as ``MC.run`` does."""
+    cols = [{c for c in map(norm_cell, query[col]) if c is not None} for col in query.columns]
+    tuples = [[norm_cell(v) for v in row] for row in query.itertuples(index=False)]
+    tuples = [(i, frozenset(t)) for i, t in enumerate(tuples) if None not in t]
+    keys = [super_key(t) for _, t in tuples]
+    n_sql = n_bloom = tp = 0
+    matched, row_counts = {}, {}
+    for tid, df in lake.tables.items():
+        if tids is not None and tid not in tids:
+            continue
+        for row in df.itertuples(index=False):
+            normed = [norm_cell(v) for v in row]
+            cells = {c for c in normed if c is not None}
+            if not all(cells & vals for vals in cols):
+                continue
+            n_sql += 1
+            sk = super_key(normed)
+            if keys and not any(sk & rk == rk for rk in keys):
+                continue
+            n_bloom += 1
+            hit = {i for i, t in tuples if t <= cells}
+            if hit:
+                tp += 1
+                matched.setdefault(tid, set()).update(hit)
+                row_counts[tid] = row_counts.get(tid, 0) + 1
+    ranked = sorted(matched, key=lambda t: (-len(matched[t]), -row_counts[t], t))[:k]
+    diag = {"sql_rows": n_sql, "bloom_rows": n_bloom, "tp_rows": tp, "fp_rows": n_bloom - tp}
+    return ranked, {t: float(len(matched[t])) for t in ranked}, diag
+
+
+def _reference_queries(lake):
+    """Sampled queries plus hand-made ones: a NULL cell, a query whose
+    every row has a NULL cell, query columns that share values, three
+    columns."""
+    qs = [sample_mc_query(lake, gid=g, n_rows=n, seed=s)[0]
+          for g, n, s in [(0, 6, 20), (1, 5, 21), (2, 8, 60), (None, 8, 61), (None, 4, 62)]]
+    df = lake.tables[lake.meta["groups"][0][0]]
+    q = qs[0].copy()
+    q.iloc[1, 1] = None
+    qs.append(q)
+    # row 0 holds a value of each column but no query tuple: all FP
+    qs.append(pd.DataFrame({"a": [df.iloc[0, 0], None], "b": [None, df.iloc[0, 1]]}))
+    v0, v1 = df.iloc[0, 0], df.iloc[1, 0]
+    qs.append(pd.DataFrame({
+        "a": [v0, v1, v0, v0],
+        "b": [df.iloc[0, 1], v0, v0, df.iloc[2, 1]],
+    }))
+    if df.shape[1] >= 3:
+        qs.append(df.iloc[:5, [0, 1, 2]].reset_index(drop=True))
+    return qs
+
+
+def test_mc_matches_raw_lake_reference(tiny_lake, tiny_index):
+    for q in _reference_queries(tiny_lake):
+        res = MC(q, k=5).run(tiny_index)
+        assert (res.tables, res.scores, res.diagnostics) == _mc_reference(tiny_lake, q, 5)
+
+
+def test_mc_reference_with_tid_filter(tiny_lake, tiny_index):
+    for q in _reference_queries(tiny_lake):
+        keep = set(_mc_reference(tiny_lake, q, 1000)[0][1::2])
+        res = MC(q, k=1000).run(tiny_index, ("IN", sorted(keep)))
+        assert (res.tables, res.scores, res.diagnostics) == _mc_reference(tiny_lake, q, 1000, keep)
+
+
+def test_mc_same_on_shuffled_index(tiny_lake, tiny_index, tiny_index_shuffled):
+    """RowIds do not matter: a shuffled index gives the same tables,
+    scores and diagnostics, with and without a TableId filter."""
+    for q in _reference_queries(tiny_lake):
+        seeker = MC(q, k=10)
+        ids = seeker.run(tiny_index).tables
+        for filt in (None, ("IN", ids[::2]), ("NOT IN", ids[:1])):
+            a, b = seeker.run(tiny_index, filt), seeker.run(tiny_index_shuffled, filt)
+            assert (a.tables, a.scores, a.diagnostics) == (b.tables, b.scores, b.diagnostics)
 
 
 def test_mc_finds_source_table(mc_query, tiny_index):
@@ -41,7 +130,6 @@ def test_mc_validation_catches_misaligned_rows(tiny_lake, tiny_index):
     res = MC(q, k=10).run(tiny_index)
     for tid in res.tables:
         df = tiny_lake.tables[tid]
-        from repro.core.values import norm_cell
         tuples = [
             frozenset(norm_cell(v) for v in row.tolist())
             for _, row in q.iterrows()
@@ -97,7 +185,6 @@ def test_mc_sql_requires_same_row(tiny_index, tiny_lake):
     res = MC(q, k=10).run(tiny_index)
     for t in res.tables:
         # if reported, some row really contains both values
-        from repro.core.values import norm_cell
         want = {norm_cell(df.iloc[0, 0]), norm_cell(df.iloc[1, 1])}
         tab = tiny_lake.tables[t]
         ok = any(

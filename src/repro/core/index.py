@@ -10,21 +10,31 @@ unifies three structures:
   Unlike the original QCR index, the sketch size ``h`` is chosen at query
   time, not baked in at index time.
 
-The index is materialized as a single Spark DataFrame, cached and
-registered as a temp view so every seeker is plain Spark SQL over it —
-the Spark/Catalyst engine plays the paper's in-DB optimizer role.
+The index is materialized as a single Spark DataFrame, checkpointed in
+memory and registered as a temp view so every seeker is plain Spark SQL
+over it — the Spark/Catalyst engine plays the paper's in-DB optimizer
+role.
 Query time needs nothing else: no seeker reads the raw lake tables (MC
 validates candidate rows from the values its own SQL returns), so a
 shuffled index keeps no map from RowId back to the lake row.
 
-Layout: the cached relation is hash-partitioned by ``TableId`` (one
-partition per core). Every seeker groups or joins on a key set that
-contains ``TableId`` — SC groups by (TableId, ColumnId), KW by TableId, MC
-and C join on (TableId, RowId) — so Catalyst finds each required
-distribution already met and plans no ``Exchange``: a seeker runs as one
-Spark job. The joins need ``spark.sql.requireAllClusterKeysForCoPartition``
-off, which :func:`repro.session.get_spark` sets; without it MC and C still
+Layout: the relation is hash-partitioned by ``TableId`` (one partition per
+core). Every seeker groups or joins on a key set that contains
+``TableId`` — SC groups by (TableId, ColumnId), KW by TableId, MC and C
+join on (TableId, RowId) — so Catalyst finds each required distribution
+already met and plans no ``Exchange``: a seeker runs as one Spark job.
+The joins need ``spark.sql.requireAllClusterKeysForCoPartition`` off,
+which :func:`repro.session.get_spark` sets; without it MC and C still
 shuffle and give the same answers.
+
+Plan leaf: ``localCheckpoint()`` stores the partitioned rows as blocks
+(the index's one in-memory copy) and cuts the lineage, so the view's
+plan is a ``LogicalRDD`` leaf that still reports
+``HashPartitioning(TableId)``. Cached instead, the view's plan would be
+the ``LocalRelation`` that ``createDataFrame`` builds, which holds every
+index row, and Catalyst would analyze, optimize and cache-match all of
+them in every seeker statement. The checkpoint reports its partitioning
+only with adaptive query execution off, which ``get_spark`` also sets.
 """
 from __future__ import annotations
 
@@ -126,11 +136,14 @@ class BlendIndex:
     def write_parquet(self, path: str) -> int:
         """Serialize the unified index to Parquet; returns bytes on disk.
 
-        Rows are written sorted by (TableId, ColumnId, RowId): each file
-        then holds a few lake tables, so its dictionaries and run lengths
-        stay small (written in hash-partition order, every file's
-        dictionary would span every table)."""
-        self.df.orderBy("TableId", "ColumnId", "RowId").write.mode("overwrite").parquet(path)
+        Rows are written as one file sorted by (TableId, ColumnId, RowId),
+        so each row group's dictionaries and run lengths span few lake
+        tables (written in hash-partition order, every row group would
+        span every table). ``coalesce(1)`` sorts in one task without a
+        shuffle; a global ``orderBy`` would write one file per shuffle
+        partition."""
+        (self.df.coalesce(1).sortWithinPartitions("TableId", "ColumnId", "RowId")
+         .write.mode("overwrite").parquet(path))
         return dir_bytes(path)
 
 
@@ -151,16 +164,17 @@ def build_index(
     seed: int = 0,
 ) -> BlendIndex:
     """Offline phase (paper Fig. 2e): build and register the unified index,
-    hash-partitioned by ``TableId`` and cached (see the module docstring)."""
+    hash-partitioned by ``TableId`` and checkpointed (see the module
+    docstring)."""
     t0 = time.perf_counter()
     pdf = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
     sdf = (
         spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
         .repartition(spark.sparkContext.defaultParallelism, "TableId")
-        .cache()
+        .localCheckpoint()
     )
     sdf.createOrReplaceTempView(view)
-    n = sdf.count()  # materialize the cache
+    n = sdf.count()
     assert n == len(pdf)
     freq = pdf["CellValue"].value_counts()
     return BlendIndex(

@@ -54,8 +54,14 @@ def norm_values(values: Iterable) -> list[str]:
 
 
 def sql_quote(value: str) -> str:
-    """Quote a normalized value as a SQL string literal."""
-    return "'" + value.replace("'", "''") + "'"
+    """Quote a normalized value as a SQL string expression.
+
+    Single quotes are doubled. Spark reads ``\\`` inside a string literal
+    as an escape character and DuckDB does not, so each backslash is
+    spliced in as ``chr(92)``, which both engines read the same way; a
+    value without a backslash stays one plain literal.
+    """
+    return "'" + value.replace("'", "''").replace("\\", "' || chr(92) || '") + "'"
 
 
 def sql_in_list(values: Iterable[str]) -> str:

@@ -8,6 +8,18 @@ memory), broadcast joins disabled (a broadcast is a Spark job of its own).
 (:func:`repro.core.index.build_index`) this lets every seeker run without
 a shuffle exchange.
 
+Adaptive query execution is off. Under it the checkpointed index reports
+no partitioning, and each seeker plans exchanges and runs several jobs
+again; a seeker has no shuffle left for it to adapt.
+
+``inSetConversionThreshold`` is 1, so every ``IN`` list of two or more
+literals is planned as an ``InSet``, and ``inSetSwitchThreshold`` is 0, so
+an ``InSet`` over integers (the optimizer's ``TableId IN`` / ``NOT IN``
+rewrites) is a hash set too, not a ``switch`` over its values. The values
+then live outside the generated Java: whole-stage codegen reuses its
+compiled classes across queries that differ only in their values, instead
+of compiling fresh code for each.
+
 Master and driver memory are read at JVM launch, so they travel in
 ``PYSPARK_SUBMIT_ARGS`` (``SPARK_MASTER``, ``SPARK_DRIVER_MEM``); a caller
 that set ``PYSPARK_SUBMIT_ARGS`` itself keeps its own.
@@ -34,6 +46,9 @@ def get_spark(app: str = "repro") -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.requireAllClusterKeysForCoPartition", "false")
+        .config("spark.sql.adaptive.enabled", "false")
+        .config("spark.sql.optimizer.inSetConversionThreshold", 1)
+        .config("spark.sql.optimizer.inSetSwitchThreshold", 0)
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

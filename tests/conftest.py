@@ -1,9 +1,9 @@
 """Shared test fixtures: tiny lakes and their BLEND indexes.
 
 All fixtures are session-scoped: each index is built once (a Spark
-createDataFrame, a TableId repartition and a cache) and shared by every
-test that reads it. Tests never mutate lakes or indexes. The SparkSession
-is the root conftest's ``spark`` fixture.
+createDataFrame, a TableId repartition and a local checkpoint) and shared
+by every test that reads it. Tests never mutate lakes or indexes. The
+SparkSession is the root conftest's ``spark`` fixture.
 """
 from __future__ import annotations
 

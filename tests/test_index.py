@@ -240,12 +240,15 @@ def test_write_parquet_bytes(tmp_path, tiny_index):
 
 
 def test_write_parquet_roundtrip(tmp_path, spark, tiny_index):
-    """The sorted Parquet holds exactly the index rows (as a multiset)."""
+    """The Parquet is one file, sorted, holding exactly the index rows."""
     tiny_index.write_parquet(str(tmp_path / "idx"))
+    files = sorted((tmp_path / "idx").glob("part-*.parquet"))
+    assert len(files) == 1
     key = ["TableId", "ColumnId", "RowId"]
-    back = spark.read.parquet(str(tmp_path / "idx")).toPandas()
+    back = pd.read_parquet(files[0])  # file order, not Spark's read order
+    assert back[key].equals(back[key].sort_values(key, ignore_index=True))
     pd.testing.assert_frame_equal(
-        back.sort_values(key, ignore_index=True),
+        back,
         tiny_index.pdf.sort_values(key, ignore_index=True),
         check_dtype=False,
     )

@@ -1,10 +1,11 @@
 """Plan shape of the seekers over the TableId-partitioned index.
 
-``build_index`` hash-partitions the cached ``AllTables`` by ``TableId``, so
-every seeker statement (plain or with the optimizer's ``TableId IN`` /
-``NOT IN`` rewrite) plans no ``Exchange`` and runs as one Spark job. The
-same rows registered unpartitioned take the shuffle path and must give the
-same answers.
+``build_index`` hash-partitions ``AllTables`` by ``TableId`` and checkpoints
+it, so every seeker statement (plain or with the optimizer's ``TableId IN``
+/ ``NOT IN`` rewrite) plans no ``Exchange`` and runs as one Spark job, and
+its plan reads the index through a leaf that does not carry the index rows.
+The same rows registered unpartitioned take the shuffle path and must give
+the same answers.
 """
 from __future__ import annotations
 
@@ -74,6 +75,17 @@ def _jobs_run(spark, fn) -> int:
     return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
+def _plan_nodes(plan) -> list[str]:
+    """Node names of a Catalyst plan tree, subquery plans included."""
+    stack, names = [plan], []
+    while stack:
+        node = stack.pop()
+        names.append(node.nodeName())
+        for kids in (node.children(), node.subqueries()):
+            stack.extend(kids.apply(i) for i in range(kids.size()))
+    return names
+
+
 def test_index_partitioned_by_tableid(spark, tiny_index):
     parts = tiny_index.df.rdd.glom().map(
         lambda rows: sorted({r.TableId for r in rows})).collect()
@@ -108,3 +120,55 @@ def test_shuffle_path_gives_same_results(
     assert part.tables  # the comparison is not vacuous
     assert part.tables == flat.tables
     assert part.scores == flat.scores
+
+
+@pytest.mark.parametrize("kind", FILTERS)
+@pytest.mark.parametrize("name", TYPES)
+def test_seeker_plan_holds_no_local_relation(spark, tiny_index, tiny_lake, seekers, name, kind):
+    """A ``LocalRelation`` carries the index rows inside the plan, and every
+    statement would analyze and optimize them again."""
+    sql = seekers[name].sql(tiny_index.view, _tid_filter(tiny_lake, kind))
+    nodes = _plan_nodes(spark.sql(sql)._jdf.queryExecution().analyzed())
+    assert "LogicalRDD" in nodes
+    assert "LocalRelation" not in nodes
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_sc_in_list_optimizes_to_inset(spark, tiny_index, tiny_lake, n):
+    """The query values live in an ``InSet`` outside the generated code, so
+    whole-stage codegen can reuse its compiled classes across queries.
+    Spark's default keeps lists of up to 10 values as ``In``."""
+    sc = SC(tiny_lake.tables[0]["product_key"].tolist()[:n])
+    assert len(sc.q) == n
+    plan = spark.sql(sc.sql(tiny_index.view))._jdf.queryExecution().optimizedPlan()
+    assert " INSET " in plan.toString()
+
+
+def _compiles(spark, fn) -> int:
+    """Whole-stage codegen compilations while ``fn()`` runs."""
+    timer = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics.METRIC_COMPILATION_TIME()
+    before = timer.getCount()
+    fn()
+    return timer.getCount() - before
+
+
+def _seeker_on_rows(name, df):
+    """A seeker of type ``name`` whose query comes from the rows ``df``."""
+    keys = df["product_key"].tolist()
+    return {
+        "SC": lambda: SC(keys),
+        "KW": lambda: KW(keys),
+        "MC": lambda: MC(df[["product_key", "category_attr"]]),
+        "C": lambda: C(keys, df["size_val"].tolist()),
+    }[name]()
+
+
+@pytest.mark.parametrize("kind", ["IN", "NOT IN"])
+@pytest.mark.parametrize("name", TYPES)
+def test_new_values_reuse_compiled_code(spark, tiny_index, tiny_lake, name, kind):
+    """A seeker statement that differs from an earlier one only in its query
+    values and its ``TableId`` list compiles no new code."""
+    t0, tids = tiny_lake.tables[0], sorted(tiny_lake.tables)
+    first, second = _seeker_on_rows(name, t0.iloc[:6]), _seeker_on_rows(name, t0.iloc[6:12])
+    first.run(tiny_index, (kind, tids[:3]))
+    assert _compiles(spark, lambda: second.run(tiny_index, (kind, tids[3:7]))) == 0

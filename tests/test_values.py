@@ -5,7 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.index import build_index
+from repro.core.seekers import KW, SC
 from repro.core.values import norm_cell, norm_values, sql_in_list, sql_quote
+from repro.lake import DataLake
+from repro.oracle import assert_equivalent
 
 
 @pytest.mark.parametrize(
@@ -84,3 +88,41 @@ def test_norm_cell_float_formatting_stable():
 @pytest.mark.parametrize("v", [1e-7, 123456.789, -0.5, 3.14159])
 def test_norm_cell_float_roundtrip_is_deterministic(v):
     assert norm_cell(v) == norm_cell(v)
+
+
+def test_sql_quote_backslash_is_chr92():
+    # Spark string literals read `\` as an escape character, DuckDB's do
+    # not; chr(92) spells it the same way in both engines
+    assert sql_quote("C:\\temp") == "'C:' || chr(92) || 'temp'"
+    assert sql_quote("end\\") == "'end' || chr(92) || ''"
+    assert sql_quote("a\\'b") == "'a' || chr(92) || '''b'"
+
+
+#: cell values whose backslashes Spark's literal parser would rewrite
+BACKSLASHED = ["C:\\temp", "ends\\", "\\", "a\\'b", "\\u0041", "\\\\share", "x\\\\'y"]
+
+
+@pytest.fixture(scope="module")
+def backslash_index(spark):
+    lake = DataLake()
+    lake.add("paths", pd.DataFrame({"p": BACKSLASHED + ["it's"]}))
+    # what the escaped spellings would read as, if Spark parsed them
+    lake.add("decoys", pd.DataFrame({"p": ["C:\temp", "A", "\\share", "a'b", "x\\'y"]}))
+    return build_index(spark, lake, view="TestBackslash")
+
+
+@pytest.mark.parametrize("value", BACKSLASHED)
+def test_backslash_value_round_trips(backslash_index, value):
+    seeker = KW([value], k=10)
+    assert seeker.run(backslash_index).tables == [0]
+    spark_df = backslash_index.spark.sql(seeker.sql(backslash_index.view))
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=backslash_index.pdf)
+
+
+def test_backslash_values_in_one_list(backslash_index):
+    seeker = SC(BACKSLASHED + ["it's"], k=10)
+    res = seeker.run(backslash_index)
+    assert res.tables == [0]
+    assert res.scores[0] == len(BACKSLASHED) + 1
+    spark_df = backslash_index.spark.sql(seeker.sql(backslash_index.view))
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=backslash_index.pdf)

@@ -30,11 +30,19 @@ shuffle and give the same answers.
 Plan leaf: ``localCheckpoint()`` stores the partitioned rows as blocks
 (the index's one in-memory copy) and cuts the lineage, so the view's
 plan is a ``LogicalRDD`` leaf that still reports
-``HashPartitioning(TableId)``. Cached instead, the view's plan would be
-the ``LocalRelation`` that ``createDataFrame`` builds, which holds every
-index row, and Catalyst would analyze, optimize and cache-match all of
-them in every seeker statement. The checkpoint reports its partitioning
+``HashPartitioning(TableId)``. Cached instead, the view's plan would hold
+every index row, and Catalyst would analyze, optimize and cache-match all
+of them in every seeker statement. The checkpoint reports its partitioning
 only with adaptive query execution off, which ``get_spark`` also sets.
+
+Ingest: ``get_spark`` sets ``spark.sql.execution.arrow.localRelationThreshold``
+to 0, so ``createDataFrame`` hands the melted frame to Spark as Arrow
+batches that tasks decode, for every lake size; below the default 48 MiB
+(about 1.1 M index rows) Spark would build a ``LocalRelation`` holding
+every row in the plan and ship it inside the repartition's tasks. The
+checkpoint is lazy: the ``count`` that verifies the row total is the one
+Spark job that decodes the batches, shuffles them by ``TableId``, stores
+the checkpoint blocks and counts the rows. :meth:`BlendIndex.release` frees the blocks.
 """
 from __future__ import annotations
 
@@ -146,6 +154,15 @@ class BlendIndex:
          .write.mode("overwrite").parquet(path))
         return dir_bytes(path)
 
+    def release(self) -> None:
+        """Free the checkpoint blocks that hold the index rows.
+
+        ``df.unpersist()`` does not reach them: the blocks belong to the
+        checkpointed RDD under the view's ``LogicalRDD`` leaf, which stays
+        in memory until the JVM collects it. Neither the index nor a view
+        still registered on it can be queried afterwards."""
+        self.df._jdf.queryExecution().analyzed().rdd().unpersist(True)
+
 
 def dir_bytes(path: str) -> int:
     total = 0
@@ -164,17 +181,17 @@ def build_index(
     seed: int = 0,
 ) -> BlendIndex:
     """Offline phase (paper Fig. 2e): build and register the unified index,
-    hash-partitioned by ``TableId`` and checkpointed (see the module
-    docstring)."""
+    hash-partitioned by ``TableId`` and checkpointed in one Spark job (see
+    the module docstring)."""
     t0 = time.perf_counter()
     pdf = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
     sdf = (
         spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
         .repartition(spark.sparkContext.defaultParallelism, "TableId")
-        .localCheckpoint()
+        .localCheckpoint(eager=False)
     )
     sdf.createOrReplaceTempView(view)
-    n = sdf.count()
+    n = sdf.count()  # runs the ingest and fills the checkpoint
     assert n == len(pdf)
     freq = pdf["CellValue"].value_counts()
     return BlendIndex(

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
 import pandas as pd
+from pandas.api.types import is_scalar
 
 
 def norm_cell(v) -> str | None:
@@ -19,25 +21,26 @@ def norm_cell(v) -> str | None:
 
     Integers (and integral floats) render without a decimal point so that
     ``5``, ``5.0`` and numpy int64(5) all map to ``"5"``. Floats render via
-    ``%.6g`` so the oracle and both engines agree. NaN/None map to ``None``
-    (excluded from the index — a NULL cell matches nothing).
+    ``%.6g`` so the oracle and both engines agree. Every scalar that
+    ``pd.isna`` accepts (None, NaN of any float width, ``pd.NA``, ``pd.NaT``,
+    numpy ``NaT``) maps to ``None``: it is excluded from the index, and a
+    NULL cell matches nothing.
     """
     if isinstance(v, str):  # the common case, checked first (numpy str_ too)
         s = v.strip()
         return s if s else None
-    if v is None:
-        return None
-    if isinstance(v, float) and math.isnan(v):
+    if isinstance(v, np.floating):  # float32 and float16; float64 is a float
+        v = float(v)
+    if isinstance(v, float):  # the next most common case
+        if math.isnan(v):
+            return None
+        return str(int(v)) if v.is_integer() else "%.6g" % v
+    if is_scalar(v) and pd.isna(v):
         return None
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int,)) or (hasattr(v, "dtype") and pd.api.types.is_integer_dtype(v)):
         return str(int(v))
-    if isinstance(v, float) or (hasattr(v, "dtype") and pd.api.types.is_float_dtype(v)):
-        f = float(v)
-        if f.is_integer():
-            return str(int(f))
-        return "%.6g" % f
     s = str(v).strip()
     return s if s else None
 

@@ -52,6 +52,7 @@ def run_table5(spark, scale: str = "bench", k: int = 10, seed: int = 300) -> lis
             m_rows.append(res_m.obtained_rows)
             b_sec.append(res_b.seconds)
             m_sec.append(res_m.seconds)
+        index.release()
         rows.append(
             {
                 "Lake": label,

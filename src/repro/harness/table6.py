@@ -52,6 +52,7 @@ def run_table6(spark, scale: str = "bench", seed: int = 400) -> list[dict]:
             blend_ranked.append([t for t in res.result if t != q][: max(ks)])
             star_ranked.append(star.query(q, k=max(ks)).tables)
             gts.append(lake.meta["gt"][q])
+        index.release()
         for k in ks:
             rows.append(
                 {

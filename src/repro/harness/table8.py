@@ -42,6 +42,7 @@ def run_table8(spark, scale: str = "bench", seed: int = 600, outdir: str | None 
     for li, (label, lake) in enumerate(lakes.items()):
         index = build_index(spark, lake, view=f"AllTablesT8{li}")
         sizes = storage_report(index, os.path.join(outdir, label))
+        index.release()
         rows.append(
             {
                 "Lake": label,

@@ -20,6 +20,14 @@ then live outside the generated Java: whole-stage codegen reuses its
 compiled classes across queries that differ only in their values, instead
 of compiling fresh code for each.
 
+``arrow.localRelationThreshold`` is 0, so ``createDataFrame`` of a pandas
+frame always sends its Arrow batches to tasks, as Spark already does above
+the default 48 MiB. Below it Spark would turn the frame into a
+``LocalRelation`` that holds every row in the plan: building the index
+would then ship every index row inside the tasks of its ``TableId``
+repartition, and the ingest of a small lake would take another path than
+that of a large one.
+
 Master and driver memory are read at JVM launch, so they travel in
 ``PYSPARK_SUBMIT_ARGS`` (``SPARK_MASTER``, ``SPARK_DRIVER_MEM``); a caller
 that set ``PYSPARK_SUBMIT_ARGS`` itself keeps its own.
@@ -44,6 +52,7 @@ def get_spark(app: str = "repro") -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.localRelationThreshold", 0)
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.requireAllClusterKeysForCoPartition", "false")
         .config("spark.sql.adaptive.enabled", "false")

@@ -1,9 +1,10 @@
 """Shared test fixtures: tiny lakes and their BLEND indexes.
 
 All fixtures are session-scoped: each index is built once (a Spark
-createDataFrame, a TableId repartition and a local checkpoint) and shared
-by every test that reads it. Tests never mutate lakes or indexes. The
-SparkSession is the root conftest's ``spark`` fixture.
+createDataFrame, a TableId repartition and a local checkpoint, in one
+job), shared by every test that reads it and released at teardown. Tests
+never mutate lakes or indexes. The SparkSession is the root conftest's
+``spark`` fixture.
 """
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ def tiny_lake():
 
 @pytest.fixture(scope="session")
 def tiny_index(spark, tiny_lake):
-    return build_index(spark, tiny_lake, view="TestTiny")
+    index = build_index(spark, tiny_lake, view="TestTiny")
+    yield index
+    index.release()
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +40,9 @@ def u_lake():
 
 @pytest.fixture(scope="session")
 def u_index(spark, u_lake):
-    return build_index(spark, u_lake, view="TestUnion")
+    index = build_index(spark, u_lake, view="TestUnion")
+    yield index
+    index.release()
 
 
 @pytest.fixture(scope="session")
@@ -50,12 +55,16 @@ def c_lake():
 
 @pytest.fixture(scope="session")
 def c_index(spark, c_lake):
-    return build_index(spark, c_lake, view="TestCorr")
+    index = build_index(spark, c_lake, view="TestCorr")
+    yield index
+    index.release()
 
 
 @pytest.fixture(scope="session")
 def c_index_rand(spark, c_lake):
-    return build_index(spark, c_lake, view="TestCorrRand", shuffle_rows=True, seed=9)
+    index = build_index(spark, c_lake, view="TestCorrRand", shuffle_rows=True, seed=9)
+    yield index
+    index.release()
 
 
 @pytest.fixture()

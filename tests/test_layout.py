@@ -1,11 +1,12 @@
-"""Plan shape of the seekers over the TableId-partitioned index.
+"""Plan shape of the index build and of the seekers over its TableId layout.
 
-``build_index`` hash-partitions ``AllTables`` by ``TableId`` and checkpoints
-it, so every seeker statement (plain or with the optimizer's ``TableId IN``
-/ ``NOT IN`` rewrite) plans no ``Exchange`` and runs as one Spark job, and
-its plan reads the index through a leaf that does not carry the index rows.
-The same rows registered unpartitioned take the shuffle path and must give
-the same answers.
+``build_index`` ingests the melted frame as Arrow batches that tasks
+decode, hash-partitions ``AllTables`` by ``TableId`` and checkpoints it, all
+in one Spark job. Every seeker statement (plain or with the optimizer's
+``TableId IN`` / ``NOT IN`` rewrite) then plans no ``Exchange`` and runs as
+one Spark job, and its plan reads the index through a leaf that does not
+carry the index rows. The same rows registered unpartitioned take the
+shuffle path and must give the same answers.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.index import INDEX_SCHEMA
+from repro.core.index import INDEX_SCHEMA, build_index
 from repro.core.seekers import C, KW, MC, SC
 
 TYPES = ["SC", "KW", "MC", "C"]
@@ -84,6 +85,50 @@ def _plan_nodes(plan) -> list[str]:
         for kids in (node.children(), node.subqueries()):
             stack.extend(kids.apply(i) for i in range(kids.size()))
     return names
+
+
+def _cached_partitions(spark) -> dict[int, int]:
+    """RDD id -> number of its partitions held in the block manager."""
+    infos = spark.sparkContext._jsc.sc().getRDDStorageInfo()
+    return {info.id(): info.numCachedPartitions() for info in infos}
+
+
+def _checkpoint_rdd_id(index) -> int:
+    """Id of the checkpointed RDD under the index's ``LogicalRDD`` leaf."""
+    return index.df._jdf.queryExecution().analyzed().rdd().id()
+
+
+def test_build_index_runs_one_job(spark, tiny_lake):
+    """The verifying count is the one job: it decodes the Arrow batches,
+    shuffles them by ``TableId`` and fills the checkpoint."""
+    built = []
+    assert _jobs_run(spark, lambda: built.append(
+        build_index(spark, tiny_lake, view="TestLayoutBuild"))) == 1
+    built[0].release()
+
+
+def test_index_frame_enters_spark_through_tasks(spark, tiny_index):
+    """``createDataFrame`` of an index frame is an RDD of Arrow batches,
+    not a ``LocalRelation`` whose rows the plan ships inside the tasks."""
+    df = spark.createDataFrame(tiny_index.pdf, schema=INDEX_SCHEMA)
+    nodes = _plan_nodes(df._jdf.queryExecution().analyzed())
+    assert "LogicalRDD" in nodes
+    assert "LocalRelation" not in nodes
+
+
+def test_release_frees_the_checkpoint(spark, tiny_lake):
+    """Build, build, release the first: only the second index's partitions
+    stay stored, and all of them are, before any seeker runs (so no seeker
+    pays for the ingest)."""
+    before = set(_cached_partitions(spark))
+    first = build_index(spark, tiny_lake, view="TestLayoutFirst")
+    second = build_index(spark, tiny_lake, view="TestLayoutSecond")
+    first.release()
+    try:
+        new = {k: v for k, v in _cached_partitions(spark).items() if k not in before}
+        assert new == {_checkpoint_rdd_id(second): spark.sparkContext.defaultParallelism}
+    finally:
+        second.release()
 
 
 def test_index_partitioned_by_tableid(spark, tiny_index):

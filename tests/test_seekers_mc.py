@@ -18,7 +18,9 @@ def mc_query(tiny_lake):
 
 @pytest.fixture(scope="module")
 def tiny_index_shuffled(spark, tiny_lake):
-    return build_index(spark, tiny_lake, view="TestTinyShuffled", shuffle_rows=True, seed=5)
+    index = build_index(spark, tiny_lake, view="TestTinyShuffled", shuffle_rows=True, seed=5)
+    yield index
+    index.release()
 
 
 def _mc_reference(lake, query: pd.DataFrame, k: int, tids=None):

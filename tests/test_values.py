@@ -32,6 +32,15 @@ from repro.oracle import assert_equivalent
         (True, "true"),
         (False, "false"),
         (np.str_(" np str "), "np str"),
+        (np.float32(2.5), "2.5"),
+        (np.float32(7.0), "7"),
+        # every scalar pd.isna accepts is a NULL cell, not the text of its repr
+        (pd.NA, None),
+        (pd.NaT, None),
+        (np.datetime64("NaT"), None),
+        (np.timedelta64("NaT"), None),
+        (np.float32("nan"), None),
+        (np.float16("nan"), None),
     ],
 )
 def test_norm_cell(value, expected):
@@ -40,6 +49,10 @@ def test_norm_cell(value, expected):
 
 def test_norm_cell_numpy_nan():
     assert norm_cell(np.nan) is None
+
+
+def test_norm_values_float32_array_drops_nan():
+    assert norm_values(np.array([1.0, np.nan, 2.5], dtype=np.float32)) == ["1", "2.5"]
 
 
 def test_norm_cell_pandas_na_float():
@@ -103,12 +116,47 @@ BACKSLASHED = ["C:\\temp", "ends\\", "\\", "a\\'b", "\\u0041", "\\\\share", "x\\
 
 
 @pytest.fixture(scope="module")
+def na_index(spark):
+    """Nullable-integer, nullable-string and datetime columns with NA cells."""
+    lake = DataLake()
+    lake.add("a", pd.DataFrame({
+        "n": pd.array([1, pd.NA, 2], dtype="Int64"),
+        "s": pd.array(["x", pd.NA, "y"], dtype="string"),
+    }))
+    lake.add("b", pd.DataFrame({"n": pd.array([pd.NA, 5, 6], dtype="Int64")}))
+    lake.add("dates", pd.DataFrame({"d": pd.to_datetime(["2020-01-01", None])}))
+    index = build_index(spark, lake, view="TestNA")
+    yield index
+    index.release()
+
+
+def test_na_cells_are_not_indexed(na_index):
+    assert len(na_index.pdf) == 4 + 2 + 1
+    assert not na_index.pdf["CellValue"].isin(["<NA>", "NaT", "nan"]).any()
+
+
+def test_sc_with_na_query_value_finds_only_true_match(na_index):
+    seeker = SC([1, pd.NA])
+    assert seeker.q == ["1"]
+    assert seeker.run(na_index).tables == [0]
+    spark_df = na_index.spark.sql(seeker.sql(na_index.view))
+    assert_equivalent(spark_df, seeker.sql("idx"), idx=na_index.pdf)
+
+
+@pytest.mark.parametrize("text", ["<NA>", "NaT"])
+def test_kw_missing_value_text_matches_nothing(na_index, text):
+    assert KW([text]).run(na_index).tables == []
+
+
+@pytest.fixture(scope="module")
 def backslash_index(spark):
     lake = DataLake()
     lake.add("paths", pd.DataFrame({"p": BACKSLASHED + ["it's"]}))
     # what the escaped spellings would read as, if Spark parsed them
     lake.add("decoys", pd.DataFrame({"p": ["C:\temp", "A", "\\share", "a'b", "x\\'y"]}))
-    return build_index(spark, lake, view="TestBackslash")
+    index = build_index(spark, lake, view="TestBackslash")
+    yield index
+    index.release()
 
 
 @pytest.mark.parametrize("value", BACKSLASHED)

@@ -37,7 +37,9 @@ class Josie:
         t0 = time.perf_counter()
         for tid, df in self.lake.tables.items():
             for cid, col in enumerate(df.columns):
-                for v in set(norm_cell(x) for x in df[col].tolist()):
+                # first-seen order: the postings, and so their Parquet
+                # size (Table VIII), must not follow the Python hash seed
+                for v in dict.fromkeys(norm_cell(x) for x in df[col].tolist()):
                     if v is not None:
                         self.postings.setdefault(v, []).append((tid, cid))
         self.build_seconds = time.perf_counter() - t0

@@ -71,7 +71,7 @@ class Mate:
                 self.superkeys[(tid, i)] = super_key(
                     (v for v in row_vals if v is not None), MATE_BITS, MATE_K
                 )
-                for v in set(v for v in row_vals if v is not None):
+                for v in dict.fromkeys(v for v in row_vals if v is not None):  # first-seen order
                     self.postings.setdefault(v, []).append((tid, i))
         self.build_seconds = time.perf_counter() - t0
 

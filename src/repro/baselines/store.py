@@ -40,7 +40,3 @@ class CsvStore:
     def load(self, tid: int) -> pd.DataFrame:
         """Deserialize one table (the cross-system transfer cost)."""
         return pd.read_csv(io.StringIO(self._blobs[tid]))
-
-    @property
-    def n_tables(self) -> int:
-        return len(self._blobs)

@@ -9,7 +9,6 @@ with ordinary least squares — "training occurs offline during deployment".
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +52,6 @@ class CostModel:
             w, *_ = np.linalg.lstsq(X, y, rcond=None)
             self.coef[t] = [float(v) for v in w]
         return self
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.coef, f, indent=2)
-
-    @classmethod
-    def load(cls, path: str) -> "CostModel":
-        with open(path) as f:
-            return cls(coef=json.load(f))
 
 
 # --- random training-query sampling (§VII-B: "randomly sample 1000 input

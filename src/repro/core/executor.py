@@ -1,37 +1,35 @@
 """Plan optimization and execution (paper §VII-B).
 
-Two execution modes:
+One loop over the plan in topological order; every statement is one
+seeker's SQL, run by ``Seeker.run`` and recorded by ``_run``.
 
-- **BLEND** (``optimize=True``): the optimizer identifies *execution
-  groups* (EGs) — seekers feeding the same Intersection combiner — orders
-  EGs topologically, ranks seekers inside each EG (rules + cost model),
-  and rewrites each subsequent seeker's SQL with the intermediate results
-  of the previous one (``TableId IN/NOT IN (…)``). Counter combiners over
-  SC/KW seekers are pushed down into a single in-DB
-  ``UNION ALL … GROUP BY TableId ORDER BY COUNT(*)`` query, in which each
-  member contributes each table of its top-k once, as the app-level
-  Counter counts it. Difference
-  always executes its subtrahend first and rewrites the minuend with
-  ``NOT IN``. Union members run independently (no rewriting) — exactly
-  the paper's rewrite table.
+- **BLEND** (``optimize=True``): a seeker with exactly one consumer runs
+  in that consumer's step, where the optimizer may rewrite it. Intersect
+  is an *execution group*: its pending seekers are ranked (rules + cost
+  model) and each runs with ``TableId IN (…)`` of the intermediate result
+  so far. Difference runs its subtrahend first and its minuend with
+  ``TableId NOT IN (…)``. A Counter over pending SC/KW seekers runs as one
+  :class:`~repro.core.seekers.CounterPushdown` statement. Union members
+  run plain — exactly the paper's rewrite table.
+- **B-NO** (``optimize=False``): the same loop with rewriting off. Every
+  seeker runs plain at its own node, in plan insertion order
+  (``topological`` puts every seeker first), and the combiners are
+  applied at the application level — the paper's unoptimized baseline.
 
-- **B-NO** (``optimize=False``): every seeker runs independently in plan
-  insertion order, combiners are applied at the application level — the
-  paper's unoptimized baseline in Table III.
-
-Rewriting is only applied to seekers with a *single* consumer: a result
-filtered for one combiner would be incorrect input for another.
+A seeker shared by several consumers runs plain at its own node in both
+modes: a result filtered for one combiner would be incorrect input for
+another.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .combiners import Counter, Difference, Intersect, Union
+from .combiners import Counter, Difference, Intersect
 from .cost_model import CostModel, rank_seekers
 from .index import BlendIndex
-from .plan import Node, Plan
-from .seekers import KW, SC, SeekerResult
+from .plan import Plan
+from .seekers import KW, SC, CounterPushdown, Seeker, TidFilter
 
 
 @dataclass
@@ -47,114 +45,76 @@ class PlanResult:
     rewrites: dict[str, str] = field(default_factory=dict)  # node -> rewrite kind
 
 
-def _run_seeker(
-    node: Node, index: BlendIndex, res: PlanResult, tid_filter=None, rewrite: str | None = None
+def _run(
+    res: PlanResult, index: BlendIndex, name: str, seeker: Seeker,
+    tid_filter: TidFilter = None, *, rewrite: str | None = None, members: list[str] | None = None,
 ) -> list[int]:
-    out: SeekerResult = node.op.run(index, tid_filter)
-    res.outputs[node.name] = out.tables
-    res.seeker_seconds[node.name] = out.seconds
+    """Run one statement and record it as node ``name``'s output. A
+    push-down's ``members`` stand in the execution order for its node."""
+    out = seeker.run(index, tid_filter)
+    res.outputs[name] = out.tables
+    res.seeker_seconds[name] = out.seconds
     res.sqls.append(out.sql)
-    res.order.append(node.name)
+    res.order.extend(members or [name])
+    rewrite = rewrite or (tid_filter[0] if tid_filter else None)
     if rewrite:
-        res.rewrites[node.name] = rewrite
+        res.rewrites[name] = rewrite
     return out.tables
 
 
-def execute_plan(
-    plan: Plan,
-    index: BlendIndex,
-    *,
-    optimize: bool = True,
-    cost_model: CostModel | None = None,
-) -> PlanResult:
+def execute_plan(plan: Plan, index: BlendIndex, *, optimize: bool = True,
+                 cost_model: CostModel | None = None) -> PlanResult:
     """Execute ``plan`` against ``index``; see module docstring."""
     t0 = time.perf_counter()
     res = PlanResult(outputs={}, result=[], seconds=0.0)
     outputs = res.outputs
     consumers = plan.consumers()
-    topo = plan.topological()
 
-    if not optimize:
-        # B-NO: every seeker runs plain, in plan order. The loop below then
-        # finds every input computed and only applies the combiners.
-        for node in topo:
-            if node.is_seeker:
-                _run_seeker(node, index, res)
-
-    for node in topo:
-        if node.name in outputs:
-            continue
+    for node in plan.topological():
         if node.is_seeker:
-            # executed lazily by its consumer's EG when it has exactly one
-            # consumer (rewriting opportunity); otherwise run it plain now
-            if len(consumers[node.name]) == 1:
-                continue
-            _run_seeker(node, index, res)
+            # with one consumer, it runs in that consumer's step
+            if not optimize or len(consumers[node.name]) != 1:
+                _run(res, index, node.name, node.op)
             continue
 
         comb = node.op
-        # inputs not yet computed: seekers exclusively owned by this
-        # combiner (shared seekers ran above; upstream combiners appear
-        # earlier in topo order)
+        # the seekers this combiner owns alone; shared seekers and upstream
+        # combiners were computed at their own nodes
         pending = [plan.nodes[i] for i in node.inputs if i not in outputs]
 
         if isinstance(comb, Intersect):
-            # --- Execution Group: rank seekers, chain IN-rewrites
-            computed = [i for i in node.inputs if i in outputs]
+            # execution group: intersect the computed inputs, then chain
+            # IN-rewrites through the ranked pending seekers
             ir: list[int] | None = None
-            for name in computed:
-                tabs = outputs[name]
-                ir = tabs if ir is None else [t for t in ir if t in set(tabs)]
-            ranked = rank_seekers([(p.name, p.op) for p in pending], index, cost_model)
-            for name, _ in ranked:
-                node_p = plan.nodes[name]
-                filt = ("IN", ir) if ir is not None else None
-                tabs = _run_seeker(
-                    node_p, index, res, filt, rewrite="IN" if ir is not None else None
-                )
-                ir = tabs if ir is None else [t for t in tabs if t in set(ir)]
+            for name in node.inputs:
+                if name in outputs:
+                    keep = set(outputs[name])
+                    ir = outputs[name] if ir is None else [t for t in ir if t in keep]
+            for name, op in rank_seekers([(p.name, p.op) for p in pending], index, cost_model):
+                if ir is None:
+                    ir = _run(res, index, name, op)
+                else:
+                    keep = set(ir)
+                    ir = [t for t in _run(res, index, name, op, ("IN", ir)) if t in keep]
         elif isinstance(comb, Difference):
             a_name, b_name = node.inputs
             # subtrahend first (its tables become the NOT IN filter)
             if b_name not in outputs:
-                _run_seeker(plan.nodes[b_name], index, res)
+                _run(res, index, b_name, plan.nodes[b_name].op)
             if a_name not in outputs:
-                _run_seeker(
-                    plan.nodes[a_name],
-                    index,
-                    res,
-                    ("NOT IN", outputs[b_name]),
-                    rewrite="NOT IN",
-                )
-        elif isinstance(comb, Counter):
-            pushable = pending and all(
-                isinstance(p.op, (SC, KW)) for p in pending
-            ) and len(pending) == len(node.inputs)
-            if pushable:
-                inner = "\nUNION ALL\n".join(
-                    f"({p.op.inner_sql(index.view)})" for p in pending
-                )
-                sql = (
-                    "SELECT TableId, COUNT(*) AS cnt FROM (\n"
-                    f"{inner}\n) hits\n"
-                    "GROUP BY TableId\n"
-                    f"ORDER BY cnt DESC, TableId ASC\nLIMIT {comb.k}"
-                )
-                ts = time.perf_counter()
-                rows = index.spark.sql(sql).collect()
-                res.sqls.append(sql)
-                res.rewrites[node.name] = "COUNT-pushdown"
-                res.seeker_seconds[node.name] = time.perf_counter() - ts
-                outputs[node.name] = [r.TableId for r in rows]
-                # the members ran inside the push-down; the Counter is
-                # their only consumer, so they get no outputs of their own
-                res.order.extend(p.name for p in pending)
-                continue
+                _run(res, index, a_name, plan.nodes[a_name].op, ("NOT IN", outputs[b_name]))
+        elif (
+            isinstance(comb, Counter) and len(pending) == len(node.inputs)
+            and all(isinstance(p.op, (SC, KW)) for p in pending)
+        ):
+            # the members run inside the push-down; the Counter is their
+            # only consumer, so they get no outputs of their own
+            _run(res, index, node.name, CounterPushdown([p.op for p in pending], k=comb.k),
+                 rewrite="COUNT-pushdown", members=[p.name for p in pending])
+            continue
+        else:  # Union, or a Counter that cannot be pushed down: no rewriting
             for p in pending:
-                _run_seeker(p, index, res)
-        else:  # Union — no rewriting (paper's rewrite table)
-            for p in pending:
-                _run_seeker(p, index, res)
+                _run(res, index, p.name, p.op)
 
         outputs[node.name] = comb.apply([outputs[i] for i in node.inputs])
 

@@ -103,9 +103,6 @@ class Plan:
             pending = [n for n in pending if n.name not in done]
         return order
 
-    def seekers(self) -> dict[str, Seeker]:
-        return {n.name: n.op for n in self.nodes.values() if n.is_seeker}
-
     @property
     def result_node(self) -> str:
         """The plan's result: its (single) sink; with multiple sinks, the

@@ -4,9 +4,11 @@ A seeker is one Spark SQL statement over the ``AllTables`` view, mirroring
 Listings 1–3 of the paper, plus a pure ranking of the rows that statement
 returns. :meth:`Seeker.run` is the one execution path: it builds the SQL,
 collects its rows and hands them to the type's ``_rank``. The SQL has a
-rewrite hook (``tid_filter``) where the optimizer injects
-combiner-dependent predicates (``TableId IN (...)`` / ``NOT IN (...)``,
-§VII-B "Query rewriting").
+rewrite hook (``tid_filter``, rendered by ``_tid_predicate``) where the
+optimizer injects combiner-dependent predicates (``TableId IN (...)`` /
+``NOT IN (...)``, §VII-B "Query rewriting"). The optimizer's Counter
+push-down is a seeker too, :class:`CounterPushdown`, whose SQL wraps its
+members' SQL.
 
 MC's exact validation needs no raw lake rows: its SQL projects the matched
 value of every query column, so the candidate rows come back with the
@@ -32,7 +34,7 @@ TidFilter = tuple[str, list[int]] | None  # ("IN" | "NOT IN", table ids)
 
 
 def _tid_predicate(tid_filter: TidFilter, qualifier: str = "") -> str:
-    """Render the rewrite placeholder. Empty string when no rewrite."""
+    """Render the rewrite predicate. Empty string when no rewrite."""
     if tid_filter is None:
         return ""
     op, ids = tid_filter
@@ -109,11 +111,6 @@ class _Overlap(Seeker):
 
     def n_columns(self) -> int:
         return 1
-
-    def inner_sql(self, view: str, tid_filter: TidFilter = None) -> str:
-        """SQL emitting each table of the top-k once (for the Counter
-        combiner's in-DB push-down)."""
-        return f"SELECT DISTINCT TableId FROM (\n{self.sql(view, tid_filter)}\n)"
 
     def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
         return (*_dedupe_topk([(r.TableId, r.overlap) for r in rows], self.k), {})
@@ -345,6 +342,32 @@ class C(Seeker):
     def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
         hits = [(r.TableId, r.qcr) for r in rows if r.qcr >= self.min_qcr]
         return (*_dedupe_topk(hits, self.k), {})
+
+
+@dataclass
+class CounterPushdown(Seeker):
+    """The Counter combiner over SC/KW seekers, pushed into the index
+    (§VII-B): one ``UNION ALL … GROUP BY TableId`` statement in which each
+    member contributes each table of its top-k once, as the app-level
+    Counter counts it. Ranked by count, then TableId."""
+
+    members: list[_Overlap]
+    k: int = 10
+    type_name: str = "Counter"
+
+    def sql(self, view: str, tid_filter: TidFilter = None) -> str:
+        inner = "\nUNION ALL\n".join(
+            f"(SELECT DISTINCT TableId FROM (\n{m.sql(view, tid_filter)}\n))"
+            for m in self.members
+        )
+        return (
+            f"SELECT TableId, COUNT(*) AS cnt FROM (\n{inner}\n) hits\n"
+            "GROUP BY TableId\n"
+            f"ORDER BY cnt DESC, TableId ASC\nLIMIT {self.k}"
+        )
+
+    def _rank(self, rows: list) -> tuple[list[int], dict[int, float], dict]:
+        return [r.TableId for r in rows], {r.TableId: float(r.cnt) for r in rows}, {}
 
 
 #: rule-based ranking order (§VII-B Rules 1–3): KW first, MC last, SC over C

@@ -43,12 +43,3 @@ def super_key(values: Iterable[str], bits: int = BLEND_BITS, k: int = BLEND_K) -
         if v is not None:
             out |= value_hash(v, bits, k)
     return out
-
-
-def covers(row_key: int, required: int) -> bool:
-    """Bloom check: does ``row_key`` cover every bit of ``required``?
-
-    False means the row provably cannot contain all the required values;
-    True means it *may* (false positives possible — hence validation).
-    """
-    return (row_key & required) == required

@@ -1,5 +1,5 @@
 """Ranking-quality metrics used throughout the evaluation (paper §VIII):
-precision@k, recall@k, average precision@k and MAP@k, defined exactly as
+precision@k, recall@k and average precision@k, defined exactly as
 in the union-search literature the paper follows [25], [45], [34]."""
 from __future__ import annotations
 
@@ -38,13 +38,3 @@ def average_precision_at_k(ranked: Sequence, relevant: Iterable, k: int) -> floa
             score += hits / i
     denom = min(k, len(rel))
     return score / denom if denom else 0.0
-
-
-def map_at_k(rankeds: Sequence[Sequence], relevants: Sequence[Iterable], k: int) -> float:
-    """Mean AP@k across queries."""
-    assert len(rankeds) == len(relevants)
-    if not rankeds:
-        return 0.0
-    return sum(
-        average_precision_at_k(r, rel, k) for r, rel in zip(rankeds, relevants)
-    ) / len(rankeds)

@@ -77,10 +77,6 @@ class DataLake:
     def n_rows(self) -> int:
         return sum(len(df) for df in self.tables.values())
 
-    @property
-    def n_cells(self) -> int:
-        return sum(df.size for df in self.tables.values())
-
     def stats_row(self, label: str) -> dict:
         """One row of our Table-II analogue (lake statistics)."""
         return {

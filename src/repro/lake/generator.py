@@ -4,9 +4,9 @@ Substitutes the paper's real web-table corpora (DWTC, Gittables, German
 open data — Table II) at laptop scale. Ground truth is planted: tables in
 the same *group* are projections/row-samples of one underlying entity
 relation, so multi-column joinability between them is known by
-construction. TPC-H-lite slices from :mod:`repro.synth_data` are mixed in
-as additional lake members (the OLAP-schema requirement of the build
-instructions).
+construction. :func:`add_tpch_slices` can add TPC-H-lite slices from
+:mod:`repro.synth_data` as further members; no lake of the paper tables
+calls it.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ def webtable_lake(
     entity_rows: int = 120,
     rows_per_table: tuple[int, int] = (30, 80),
     n_noise_tables: int = 10,
-    tpch_slices: int = 4,
     seed: int = 0,
 ) -> DataLake:
     """Build a webtable-style lake.

@@ -50,7 +50,7 @@ def get_spark(app: str = "repro") -> SparkSession:
     )
     spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"))
+        .config("spark.sql.shuffle.partitions", 8)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.execution.arrow.localRelationThreshold", 0)
         .config("spark.sql.autoBroadcastJoinThreshold", -1)

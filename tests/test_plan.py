@@ -99,7 +99,7 @@ def test_topological_order():
 def test_seekers_accessor():
     plan = Plan().add("a", _sc()).add("b", _sc())
     plan.add("i", Combiners.Intersect(k=5), ["a", "b"])
-    assert set(plan.seekers()) == {"a", "b"}
+    assert {n.name for n in plan.nodes.values() if n.is_seeker} == {"a", "b"}
 
 
 def test_listing4_style_plan_builds():
@@ -113,7 +113,7 @@ def test_listing4_style_plan_builds():
     plan.add("correlation", Seekers.Correlation(["k1", "k2"], [1.0, 2.0], k=10))
     plan.add("union", Combiners.Union(k=40), ["kw", "counter", "correlation"])
     assert plan.result_node == "union"
-    assert len(plan.seekers()) == 4
+    assert sum(n.is_seeker for n in plan.nodes.values()) == 4
 
 
 def test_namespaces_match_paper_api():

@@ -1,7 +1,7 @@
 """Tests for the SC and KW seekers (paper Listing 1 and §VI)."""
 import pytest
 
-from repro.core.seekers import KW, SC
+from repro.core.seekers import KW, SC, CounterPushdown
 from repro.oracle import assert_equivalent
 
 
@@ -147,10 +147,13 @@ def test_kw_tid_filter(tiny_lake, tiny_index):
     assert tid not in res.tables
 
 
-def test_kw_inner_sql_emits_tableid(tiny_lake, tiny_index):
+def test_kw_pushdown_counts_each_table_once(tiny_lake, tiny_index):
+    """A one-KW Counter push-down returns each table of the KW's top-k
+    once, with count 1."""
     tid = _group_member(tiny_lake)[0]
     df = tiny_lake.tables[tid]
     seeker = KW([df.iloc[0, 0]], k=10)
-    rows = tiny_index.spark.sql(seeker.inner_sql(tiny_index.view)).collect()
-    assert all(len(r) == 1 for r in rows)
-    assert tid in {r.TableId for r in rows}
+    res = CounterPushdown([seeker], k=10).run(tiny_index)
+    assert tid in res.tables
+    assert sorted(res.tables) == sorted(seeker.run(tiny_index).tables)
+    assert set(res.scores.values()) == {1.0}

@@ -1,7 +1,12 @@
 """Unit tests for the XASH-style super keys (repro.core.xash)."""
 import pytest
 
-from repro.core.xash import BLEND_BITS, BLEND_K, covers, super_key, value_hash
+from repro.core.xash import BLEND_BITS, BLEND_K, super_key, value_hash
+
+
+def covers(row_key: int, required: int) -> bool:
+    """The Bloom check MC and MATE apply to a row's super key."""
+    return (row_key & required) == required
 
 
 def test_value_hash_deterministic():

@@ -1,26 +1,21 @@
 """Print our Table-II analogue: statistics of every synthetic lake used in
-the reproduction. Usage: ``spark-submit jobs/lake_stats.py``."""
-from _session import get_spark
-
+the reproduction, built with the bench parameters of the table harnesses.
+Usage: ``python jobs/lake_stats.py``."""
+from repro.harness import table5, table6
 from repro.harness.common import fmt_markdown
 from repro.harness.table3 import build_combined_lake
 from repro.harness.table4 import build_table4_lake
-from repro.lake import corr_lake, union_lake, webtable_lake
+from repro.harness.table7 import build_table7_lake
+from repro.lake import union_lake, webtable_lake
 
 
-def main(spark=None) -> list[dict]:
+def main() -> list[dict]:
     lakes = {
         "table3-combined": build_combined_lake("bench"),
         "table4-optimizer": build_table4_lake("bench"),
-        "table5-dwtc-like": webtable_lake(n_groups=10, tables_per_group=5,
-                                          entity_rows=260, rows_per_table=(60, 140),
-                                          n_noise_tables=12, seed=300),
-        "table6-santos-like": union_lake(n_base=8, segments_per_base=26,
-                                         rows_per_segment=22, semantic_frac=0.3,
-                                         n_distractors=20, seed=400),
-        "table7-nyc-like": corr_lake(n_cat_queries=5, n_num_queries=5, n_keys=32,
-                                     reps_per_key=20, candidates_per_query=20,
-                                     n_distractors=5, seed=500),
+        "table5-dwtc-like": webtable_lake(seed=300, **table5.SCALES["bench"]["dwtc"]),
+        "table6-santos-like": union_lake(seed=400, **table6.SCALES["bench"]["lakes"]["santos-like"]),
+        "table7-nyc-like": build_table7_lake("bench"),
     }
     rows = [lake.stats_row(name) for name, lake in lakes.items()]
     print("\n## Table II analogue — synthetic lakes used here\n")

@@ -31,10 +31,8 @@ class Josie:
 
     lake: DataLake
     postings: dict[str, list[tuple[int, int]]] = field(default_factory=dict, repr=False)
-    build_seconds: float = 0.0
 
     def __post_init__(self):
-        t0 = time.perf_counter()
         for tid, df in self.lake.tables.items():
             for cid, col in enumerate(df.columns):
                 # first-seen order: the postings, and so their Parquet
@@ -42,7 +40,6 @@ class Josie:
                 for v in dict.fromkeys(norm_cell(x) for x in df[col].tolist()):
                     if v is not None:
                         self.postings.setdefault(v, []).append((tid, cid))
-        self.build_seconds = time.perf_counter() - t0
 
     def query(self, values: list, k: int = 10) -> JosieResult:
         """Top-k columns by distinct-value overlap with the query column."""

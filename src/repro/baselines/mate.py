@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import pandas as pd
 
 from ..core.values import norm_cell, norm_values
-from ..core.xash import super_key, value_hash
+from ..core.xash import super_key
 from ..lake.base import DataLake
 
 MATE_BITS = 32
@@ -42,11 +42,6 @@ class MateResult:
     tp_rows: int
     fp_rows: int
 
-    @property
-    def precision(self) -> float:
-        d = self.tp_rows + self.fp_rows
-        return self.tp_rows / d if d else 0.0
-
 
 @dataclass
 class Mate:
@@ -60,10 +55,8 @@ class Mate:
     store: object | None = None
     postings: dict[str, list[tuple[int, int]]] = field(default_factory=dict, repr=False)
     superkeys: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    build_seconds: float = 0.0
 
     def __post_init__(self):
-        t0 = time.perf_counter()
         for tid, df in self.lake.tables.items():
             cells = [[norm_cell(v) for v in df[c].tolist()] for c in df.columns]
             for i in range(len(df)):
@@ -73,7 +66,6 @@ class Mate:
                 )
                 for v in dict.fromkeys(v for v in row_vals if v is not None):  # first-seen order
                     self.postings.setdefault(v, []).append((tid, i))
-        self.build_seconds = time.perf_counter() - t0
 
     def query(self, query: pd.DataFrame, k: int = 10) -> MateResult:
         t0 = time.perf_counter()

@@ -53,10 +53,8 @@ class QcrSketch:
     sketches: dict[tuple[int, int, int], frozenset[int]] = field(
         default_factory=dict, repr=False
     )
-    build_seconds: float = 0.0
 
     def __post_init__(self):
-        t0 = time.perf_counter()
         for tid, df in self.lake.tables.items():
             cats = [
                 j for j, c in enumerate(df.columns)
@@ -77,7 +75,6 @@ class QcrSketch:
                         if k is not None and not pd.isna(v)
                     }
                     self.sketches[(tid, cj, nj)] = _sketch(pairs, self.h)
-        self.build_seconds = time.perf_counter() - t0
 
     def query(self, join_values: list, target_values: list, k: int = 10) -> QcrResult:
         """Top-k tables by estimated |correlation|; two runs (positive and

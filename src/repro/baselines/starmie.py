@@ -65,7 +65,6 @@ class Starmie:
     misencode: float = 0.2
     seed: int = 0
     vectors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    build_seconds: float = 0.0
 
     def _embed_table(
         self, tid: int, g: np.random.Generator, *, as_query: bool = False
@@ -93,11 +92,9 @@ class Starmie:
         return np.stack(rows)
 
     def __post_init__(self):
-        t0 = time.perf_counter()
         g = np.random.default_rng(self.seed)
         for tid in self.lake.tables:
             self.vectors[tid] = self._embed_table(tid, g)
-        self.build_seconds = time.perf_counter() - t0
 
     def query(self, tid: int, k: int = 10, *, query_seed: int = 1) -> StarmieResult:
         """Top-k unionable tables for lake table ``tid`` (self excluded).

@@ -47,7 +47,6 @@ the checkpoint blocks and counts the rows. :meth:`BlendIndex.release` frees the 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +130,6 @@ class BlendIndex:
     view: str
     lake: DataLake  # the source tables: samplers, baselines, the benchmark's checks
     pdf: pd.DataFrame  # pandas copy — powers the DuckDB oracle, storage and stats
-    build_seconds: float
     value_freq: pd.Series = field(repr=False, default=None)
 
     def avg_frequency(self, values: list[str]) -> float:
@@ -183,7 +181,6 @@ def build_index(
     """Offline phase (paper Fig. 2e): build and register the unified index,
     hash-partitioned by ``TableId`` and checkpointed in one Spark job (see
     the module docstring)."""
-    t0 = time.perf_counter()
     pdf = build_alltables_pdf(lake, shuffle_rows=shuffle_rows, seed=seed)
     sdf = (
         spark.createDataFrame(pdf, schema=INDEX_SCHEMA)
@@ -200,6 +197,5 @@ def build_index(
         view=view,
         lake=lake,
         pdf=pdf,
-        build_seconds=time.perf_counter() - t0,
         value_freq=freq,
     )

@@ -1,3 +1,3 @@
 """Experiment harnesses, one per paper table (III–VIII). Each exposes a
 ``run_tableN(spark, scale=...)`` returning the table's rows as dicts;
-``jobs/`` wraps them for spark-submit and ``benchmarks/`` times them."""
+``jobs/tables.py N [scale]`` prints table N and ``benchmarks/`` times them."""

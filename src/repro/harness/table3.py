@@ -7,6 +7,8 @@ own index over the same lake, exactly the federation scenario of §VIII-B.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 
@@ -150,6 +152,34 @@ def _time_pair(plan, index, i: int) -> tuple[float, float]:
     return bl, bn
 
 
+# One row per §VIII-B task: its label; its workload, (lake, n, g, scale
+# parameters) -> inputs; the BLEND plan builder and input -> the builder's
+# arguments before k; the federated baseline and (systems, input, k) -> its
+# arguments; and the number of systems the baseline federates.
+TASKS = (
+    ("With Negative Examples",
+     lambda lake, n, g, p: _neg_examples_workload(lake, n, g, p["n_neg"]),
+     build_negative_examples_plan, lambda x: x,
+     baseline_negative_examples, lambda s, x, k: (s.lake, s.mate, *x, k, s.store),
+     1),  # MATE, plus hand-written row validation
+    ("Data Imputation",
+     lambda lake, n, g, p: _imputation_workload(lake, n, g),
+     build_imputation_plan, lambda x: x,
+     baseline_imputation, lambda s, x, k: (s.mate, s.josie, *x, k),
+     2),  # MATE + Josie
+    ("Feature Discovery",
+     lambda lake, n, g, p: _feature_discovery_workload(lake, n, g),
+     build_feature_discovery_plan, lambda x: x,
+     baseline_feature_discovery, lambda s, x, k: (s.qcr, s.mate, *x, k),
+     2),  # QCR + MATE
+    ("Multi-Objective Discovery",
+     lambda lake, n, g, p: _multi_objective_workload(lake, n, g),
+     build_multi_objective_plan, lambda x: (x[0], x[1], x[3], x[4]),
+     baseline_multi_objective, lambda s, x, k: (s.josie, s.star, s.qcr, x[0], *x[2:], k),
+     3),  # Josie + Starmie + QCR
+)
+
+
 def run_table3(spark, scale: str = "bench", k: int = 10, seed: int = 100) -> list[dict]:
     """Produce the Table III rows (one dict per complex task)."""
     p = SCALES[scale]
@@ -157,78 +187,27 @@ def run_table3(spark, scale: str = "bench", k: int = 10, seed: int = 100) -> lis
     lake = build_combined_lake(scale, seed)
     index: BlendIndex = build_index(spark, lake, view="AllTablesT3")
     store = CsvStore(lake)  # federated baselines pay cross-system loading
-    mate, josie = Mate(lake, store=store), Josie(lake)
-    qcr, star = QcrSketch(lake), Starmie(lake)
-    n_q = p["n_q"]
+    systems = SimpleNamespace(lake=lake, store=store, mate=Mate(lake, store=store),
+                              josie=Josie(lake), qcr=QcrSketch(lake), star=Starmie(lake))
     gw = np.random.default_rng(seed + 99)  # warm-up inputs, apart from the measured ones
     rows = []
-
-    # --- 1. negative examples
-    bl, bn, ba = [], [], []
-    _warm(build_negative_examples_plan(*_neg_examples_workload(lake, 1, gw, p["n_neg"])[0], k),
-          index)
-    for i, (examples, negatives) in enumerate(
-        _neg_examples_workload(lake, n_q, g, p["n_neg"])
-    ):
-        plan = build_negative_examples_plan(examples, negatives, k)
-        s_bl, s_bn = _time_pair(plan, index, i)
-        bl.append(s_bl)
-        bn.append(s_bn)
-        ba.append(baseline_negative_examples(lake, mate, examples, negatives, k, store=store)[1])
-    rows.append(_row("With Negative Examples", bl, bn, ba,
-                     build_negative_examples_plan, baseline_negative_examples, 1))
-
-    # --- 2. data imputation
-    bl, bn, ba = [], [], []
-    _warm(build_imputation_plan(*_imputation_workload(lake, 1, gw)[0], k), index)
-    for i, (examples, queries) in enumerate(_imputation_workload(lake, n_q, g)):
-        plan = build_imputation_plan(examples, queries, k)
-        s_bl, s_bn = _time_pair(plan, index, i)
-        bl.append(s_bl)
-        bn.append(s_bn)
-        ba.append(baseline_imputation(mate, josie, examples, queries, k)[1])
-    rows.append(_row("Data Imputation", bl, bn, ba,
-                     build_imputation_plan, baseline_imputation, 2))
-
-    # --- 3. feature discovery
-    bl, bn, ba = [], [], []
-    _warm(build_feature_discovery_plan(*_feature_discovery_workload(lake, 1, gw)[0], k), index)
-    for i, (keys, target, feats, key_query) in enumerate(
-        _feature_discovery_workload(lake, n_q, g)
-    ):
-        plan = build_feature_discovery_plan(keys, target, feats, key_query, k)
-        s_bl, s_bn = _time_pair(plan, index, i)
-        bl.append(s_bl)
-        bn.append(s_bn)
-        ba.append(baseline_feature_discovery(qcr, mate, keys, target, feats, key_query, k)[1])
-    rows.append(_row("Feature Discovery", bl, bn, ba,
-                     build_feature_discovery_plan, baseline_feature_discovery, 2))
-
-    # --- 4. multi-objective discovery
-    bl, bn, ba = [], [], []
-    kws, examples, _, keys, target = _multi_objective_workload(lake, 1, gw)[0]
-    _warm(build_multi_objective_plan(kws, examples, keys, target, k), index)
-    for i, (kws, examples, qtid, keys, target) in enumerate(
-        _multi_objective_workload(lake, n_q, g)
-    ):
-        plan = build_multi_objective_plan(kws, examples, keys, target, k)
-        s_bl, s_bn = _time_pair(plan, index, i)
-        bl.append(s_bl)
-        bn.append(s_bn)
-        ba.append(baseline_multi_objective(josie, star, qcr, kws, qtid, keys, target, k)[1])
-    rows.append(_row("Multi-Objective Discovery", bl, bn, ba,
-                     build_multi_objective_plan, baseline_multi_objective, 3))
+    for label, workload, plan_fn, plan_args, baseline_fn, baseline_args, n_sys in TASKS:
+        _warm(plan_fn(*plan_args(workload(lake, 1, gw, p)[0]), k), index)
+        bl, bn, ba = [], [], []
+        for i, x in enumerate(workload(lake, p["n_q"], g, p)):
+            s_bl, s_bn = _time_pair(plan_fn(*plan_args(x), k), index, i)
+            bl.append(s_bl)
+            bn.append(s_bn)
+            ba.append(baseline_fn(*baseline_args(systems, x, k))[1])
+        rows.append({
+            "Task": label,
+            "BLEND Runtime (s)": mean(bl),
+            "B-NO Runtime (s)": mean(bn),
+            "Baseline Runtime (s)": mean(ba),
+            "BLEND LOC": loc(plan_fn),
+            "Baseline LOC": loc(baseline_fn),
+            "# Systems (BLEND/Baseline)": f"1/{n_sys}",
+            "# Indexes (BLEND/Baseline)": "Single/Multi",
+        })
+    index.release()
     return rows
-
-
-def _row(task, bl, bn, ba, plan_fn, baseline_fn, n_sys) -> dict:
-    return {
-        "Task": task,
-        "BLEND Runtime (s)": mean(bl),
-        "B-NO Runtime (s)": mean(bn),
-        "Baseline Runtime (s)": mean(ba),
-        "BLEND LOC": loc(plan_fn),
-        "Baseline LOC": loc(baseline_fn),
-        "# Systems (BLEND/Baseline)": f"1/{n_sys}",
-        "# Indexes (BLEND/Baseline)": "Single/Multi",
-    }

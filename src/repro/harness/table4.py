@@ -113,4 +113,5 @@ def run_table4(spark, scale: str = "bench", seed: int = 200) -> list[dict]:
         row = {"Seeker": label}
         row.update(_experiment(index, cm, kinds, p["n_plans"], g))
         rows.append(row)
+    index.release()
     return rows

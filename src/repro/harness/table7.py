@@ -33,14 +33,19 @@ def _blend_topk(index, query: dict, k: int, h: int) -> list[int]:
     return seeker.run(index).tables[:k]
 
 
-def run_table7(spark, scale: str = "bench", seed: int = 500) -> list[dict]:
+def build_table7_lake(scale: str = "bench", seed: int = 500) -> DataLake:
     p = SCALES[scale]
-    k, h = p["k"], p["h"]
-    lake: DataLake = corr_lake(
+    return corr_lake(
         n_cat_queries=p["n_cat"], n_num_queries=p["n_num"], n_keys=p["n_keys"],
         reps_per_key=p["reps"], candidates_per_query=p["cands"],
         n_distractors=p["distract"], seed=seed,
     )
+
+
+def run_table7(spark, scale: str = "bench", seed: int = 500) -> list[dict]:
+    p = SCALES[scale]
+    k, h = p["k"], p["h"]
+    lake = build_table7_lake(scale, seed)
     index = build_index(spark, lake, view="AllTablesT7")
     index_rand = build_index(
         spark, lake, view="AllTablesT7R", shuffle_rows=True, seed=seed + 1
@@ -58,6 +63,8 @@ def run_table7(spark, scale: str = "bench", seed: int = 500) -> list[dict]:
             "Baseline": qcr.query(keys, target, k=k).tables,
         }
         per_q.append((query["key_kind"], sys_ranked, gt))
+    index.release()
+    index_rand.release()
 
     rows = []
     for bench, kinds in [("NYC (All)-like", {"cat", "num"}), ("NYC (Cat.)-like", {"cat"})]:

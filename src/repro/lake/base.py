@@ -29,19 +29,13 @@ class DataLake:
         self.names[tid] = name
         return tid
 
-    def merge(self, other: "DataLake", prefix: str = "") -> dict[int, int]:
-        """Append every table of ``other``; returns old-tid -> new-tid."""
-        mapping = {}
-        for tid, df in other.tables.items():
-            mapping[tid] = self.add(prefix + other.names[tid], df)
-        return mapping
-
     def absorb(self, other: "DataLake", prefix: str = "") -> dict[int, int]:
-        """Merge ``other`` *including* its ground-truth metadata, remapping
-        table ids. Used to build the combined lake for the complex-task
-        experiments (Table III), where one unified index serves keyword,
-        join, union and correlation workloads simultaneously."""
-        m = self.merge(other, prefix)
+        """Append every table of ``other`` *including* its ground-truth
+        metadata, remapping table ids; returns old-tid -> new-tid. Used to
+        build the combined lake for the complex-task experiments (Table
+        III), where one unified index serves keyword, join, union and
+        correlation workloads simultaneously."""
+        m = {tid: self.add(prefix + other.names[tid], df) for tid, df in other.tables.items()}
         om, tm = other.meta, self.meta
         tm.setdefault("column_domains", {}).update(
             {(m[t], j): d for (t, j), d in om.get("column_domains", {}).items()}

@@ -18,10 +18,6 @@ from ..baselines.mate import Mate
 from ..baselines.qcr import QcrSketch
 from ..core.plan import Combiners, Plan, Seekers
 
-N_SYSTEMS_BASELINE = 2  # QCR + MATE
-N_SYSTEMS_BLEND = 1
-
-
 def build_feature_discovery_plan(
     join_values: list, target: list, features: list[list], key_query: pd.DataFrame, k: int = 10
 ) -> Plan:

@@ -17,10 +17,6 @@ from ..baselines.josie import Josie
 from ..baselines.mate import Mate
 from ..core.plan import Combiners, Plan, Seekers
 
-N_SYSTEMS_BASELINE = 2  # MATE + Josie
-N_SYSTEMS_BLEND = 1
-
-
 def build_imputation_plan(examples: pd.DataFrame, queries: list, k: int = 10) -> Plan:
     plan = Plan()
     plan.add("examples", Seekers.MC(examples, k=k))

@@ -17,10 +17,6 @@ from ..baselines.qcr import QcrSketch
 from ..baselines.starmie import Starmie
 from ..core.plan import Combiners, Plan, Seekers
 
-N_SYSTEMS_BASELINE = 3  # Josie + Starmie + QCR
-N_SYSTEMS_BLEND = 1
-
-
 def build_multi_objective_plan(
     keywords: list, examples: pd.DataFrame, join_values: list, target: list, k: int = 10
 ) -> Plan:

@@ -17,10 +17,6 @@ from ..core.plan import Combiners, Plan, Seekers
 from ..core.values import norm_cell
 from ..lake.base import DataLake
 
-N_SYSTEMS_BASELINE = 1  # MATE (+ hand-written validation code)
-N_SYSTEMS_BLEND = 1
-
-
 def build_negative_examples_plan(examples: pd.DataFrame, negatives: pd.DataFrame, k: int = 10) -> Plan:
     plan = Plan()
     plan.add("pos", Seekers.MC(examples, k=5 * k))
